@@ -21,8 +21,7 @@ from .evaluation import (ProbeResult, TaskFunction, UsefulnessReport,
                          mutual_knn, ratio_trace, trace_gap_bound,
                          usefulness_metric, worst_case_err)
 from .harness import (ExperimentConfig, load_config, load_dataset,
-                      run_experiment, split_dataset, verify_theorems,
-                      write_report)
+                      run_experiment, split_dataset, write_report)
 from .objectives import (LossKernelKind, ObjectiveKind, SampleEncoder,
                          VariationalOptions, average_encoder, eval_objective,
                          load_encoder, loss_kernel_matrix,
@@ -32,5 +31,6 @@ from .spectral import (ContextureSpectrum, OperatorMatrices, apply_operator,
                        contexture_svd, dual_kernel, load_spectrum,
                        operator_matrices, positive_pair_kernel,
                        reconstruct_joint, save_spectrum)
+from .verify import verify_theorems
 
 __version__ = "0.1.0"

@@ -11,6 +11,40 @@ import numpy as np
 
 from .errors import NumericalError
 
+# rows per block in ``sq_dists``: bounds the difference tensor it builds
+_DIST_BLOCK_ROWS = 256
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and of ``b``.
+
+    Differences are squared and summed directly, in blocks of rows, rather
+    than through the Gram identity |a|^2 + |b|^2 - 2ab, which would turn
+    the exact zeros of duplicate rows and exact distance ties into roundoff.
+    """
+    out = np.empty((a.shape[0], b.shape[0]))
+    for start in range(0, a.shape[0], _DIST_BLOCK_ROWS):
+        diff = a[start:start + _DIST_BLOCK_ROWS, None, :] - b[None, :, :]
+        out[start:start + _DIST_BLOCK_ROWS] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
+def nearest(dists: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest column indices; ties go to the lower index."""
+    return np.argsort(dists, axis=1, kind="stable")[:, :k]
+
+
+def fix_signs(columns: np.ndarray, *paired: np.ndarray) -> None:
+    """Flip columns in place so each one's largest-magnitude entry is positive.
+
+    The same columns of every ``paired`` array flip with them. A magnitude
+    tie goes to the entry with the lowest row index.
+    """
+    peaks = np.argmax(np.abs(columns), axis=0)
+    flip = columns[peaks, np.arange(columns.shape[1])] < 0
+    for arr in (columns, *paired):
+        arr[:, flip] = -arr[:, flip]
+
 
 def weighted_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(weights * f * g))

@@ -16,12 +16,14 @@ import numpy as np
 from ._linalg import as_native
 from .context import PointSet, build_from_descriptor
 from .errors import NumericalError
-from .evaluation import fit_linear_probe, usefulness_metric
+from .evaluation import (fit_linear_probe, save_tau_curve_csv,
+                         usefulness_metric)
 from .harness import (load_config, load_dataset, run_experiment,
-                      verify_theorems, write_report, zscore_by_reference)
+                      write_report, zscore_by_reference)
 from .objectives import (ObjectiveKind, VariationalOptions, load_encoder,
                          save_encoder, solve_spectral, solve_variational)
 from .spectral import contexture_svd, load_spectrum, save_spectrum
+from .verify import verify_theorems
 
 
 class _UsageError(Exception):
@@ -46,7 +48,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--target", default=None,
                     help="target column (excluded from features; labels for "
                          "the label context)")
-    sp.add_argument("--marginal", default="uniform", choices=["uniform"])
     sp.add_argument("--top", type=int, default=None, help="retained rank")
     sp.add_argument("--out", required=True, help="output spectrum JSON")
     sp.add_argument("--seed", type=int, default=0)
@@ -138,10 +139,7 @@ def _cmd_metric(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     if args.curve_csv:
-        with open(args.curve_csv, "w") as fh:
-            fh.write("d,tau_d\n")
-            for d, tau_d in enumerate(frag.tau_curve, start=1):
-                fh.write(f"{d},{tau_d!r}\n")
+        save_tau_curve_csv(frag.tau_curve, args.curve_csv)
     print(text)
     return 0
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import nearest, sq_dists
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -147,26 +148,18 @@ class FiniteContext:
 # raw conditional builders (full N x N, before support restriction)
 # ---------------------------------------------------------------------------
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def _knn_conditional(points: np.ndarray, k: int) -> np.ndarray:
     n = points.shape[0]
-    dists = _sq_dists(points, points)
+    dists = sq_dists(points, points)
     np.fill_diagonal(dists, np.inf)
     q_mat = np.zeros((n, n))
-    # stable argsort breaks distance ties by ascending point index
-    order = np.argsort(dists, axis=1, kind="stable")
-    rows = np.repeat(np.arange(n), k)
-    q_mat[rows, order[:, :k].ravel()] = 1.0 / k
+    q_mat[np.repeat(np.arange(n), k), nearest(dists, k).ravel()] = 1.0 / k
     return q_mat
 
 
 def _rbf_conditional(points: np.ndarray, gamma: float) -> np.ndarray:
     # log-space with per-row max subtraction; the self term makes the max 0
-    logits = -gamma * _sq_dists(points, points)
+    logits = -gamma * sq_dists(points, points)
     logits -= logits.max(axis=1, keepdims=True)
     q_mat = np.exp(logits)
     return q_mat / q_mat.sum(axis=1, keepdims=True)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .context import PointSet, build_rbf_context
+from ._linalg import sq_dists
+from .context import PointSet, build_graph_context, build_rbf_context
 from .spectral import contexture_svd
 
 
@@ -96,7 +97,6 @@ def make_planted_graph(directory, n=160, seed=17, split_seed=0,
     the experiment harness applies to encoders. Returns the dataset path,
     the adjacency path, and the planted context descriptor.
     """
-    from .context import _sq_dists, build_graph_context
     from .harness import extend_encoder, split_dataset, zscore_by_reference
 
     directory = Path(directory)
@@ -106,7 +106,7 @@ def make_planted_graph(directory, n=160, seed=17, split_seed=0,
     idx_pre, idx_down, idx_test = split_dataset(n, fractions, split_seed)
 
     latent = rng.standard_normal((len(idx_pre), 2))
-    adjacency = np.exp(-latent_gamma * _sq_dists(latent, latent))
+    adjacency = np.exp(-latent_gamma * sq_dists(latent, latent))
     np.fill_diagonal(adjacency, 0.0)
     ctx = build_graph_context(adjacency)
     mu1 = contexture_svd(ctx, rank=2).left_functions[:, 1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import sym_inv_sqrt, weighted_cov, weighted_norm
+from ._linalg import fix_signs, sym_inv_sqrt, weighted_cov, weighted_norm
 from .context import DiscreteDistribution, FiniteContext
 from .objectives import SampleEncoder
 from .spectral import operator_matrices
@@ -55,18 +55,20 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     if enc.support != "input":
         raise ValueError("estimation expects an input-support encoder")
     centered = enc.centered()
+    # roundoff asymmetry grows with scale, past CovariancePair's 1e-10 check
     c_phi = weighted_cov(enc.values, ctx.input_marginal.weights)
+    c_phi = 0.5 * (c_phi + c_phi.T)
+    adj = operator_matrices(ctx).adjoint
     if mode == "exact":
-        adj = operator_matrices(ctx).adjoint
         pushed = adj @ centered
         b_phi = pushed.T @ (ctx.context_marginal.weights[:, None] * pushed)
-        return CovariancePair(c_phi=c_phi, b_phi=b_phi, mode="exact")
+        return CovariancePair(c_phi=c_phi, b_phi=0.5 * (b_phi + b_phi.T),
+                              mode="exact")
     if mode != "pair_sampled":
         raise ValueError("mode must be 'exact' or 'pair_sampled'")
     if n_pairs < 1:
         raise ValueError("pair_sampled mode needs n_pairs >= 1")
     rng = np.random.default_rng(seed)
-    adj = operator_matrices(ctx).adjoint
     xs = rng.choice(ctx.n_inputs, size=n_pairs, p=ctx.input_marginal.weights)
     mids = np.empty(n_pairs, dtype=int)
     for x in np.unique(xs):
@@ -110,9 +112,7 @@ def estimate_spectrum_posthoc(enc: SampleEncoder, cov: CovariancePair,
         scale = weighted_norm(funcs[:, j], w)
         if scale > 0:
             funcs[:, j] /= scale
-        peak = int(np.argmax(np.abs(funcs[:, j])))
-        if funcs[peak, j] < 0:
-            funcs[:, j] = -funcs[:, j]
+    fix_signs(funcs)
     return eigenvalues, SampleEncoder(funcs, "input", enc.marginal)
 
 

@@ -10,13 +10,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._linalg import (golden_section_min, independent_columns, sym_inv_sqrt,
-                      weighted_center, weighted_cov, weighted_norm,
+from ._linalg import (golden_section_min, independent_columns, nearest,
+                      sq_dists, sym_inv_sqrt, weighted_center, weighted_norm,
                       whiten_columns)
 from .context import DiscreteDistribution, FiniteContext, PointSet
 from .errors import NumericalError
+from .estimation import estimate_covariances
 from .objectives import SampleEncoder
-from .spectral import ContextureSpectrum, dual_kernel, operator_matrices
+from .spectral import ContextureSpectrum, dual_kernel
 
 ACTIVE_TOL = 1e-8
 
@@ -90,10 +91,15 @@ class UsefulnessReport:
         return data
 
     def save_tau_curve_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("d,tau_d\n")
-            for d, tau_d in enumerate(self.tau_curve, start=1):
-                fh.write(f"{d},{tau_d!r}\n")
+        save_tau_curve_csv(self.tau_curve, path)
+
+
+def save_tau_curve_csv(tau_curve, path) -> None:
+    """Write the (d, tau_d) curve as CSV, d counted from 1."""
+    with open(path, "w") as fh:
+        fh.write("d,tau_d\n")
+        for d, tau_d in enumerate(tau_curve, start=1):
+            fh.write(f"{d},{tau_d!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +333,6 @@ def make_usefulness_report(spec: ContextureSpectrum, ctx: FiniteContext,
 # encoder-versus-contexture diagnostics
 # ---------------------------------------------------------------------------
 
-def _covariance_pair(enc: SampleEncoder, ctx: FiniteContext):
-    adj = operator_matrices(ctx).adjoint
-    centered = enc.centered()
-    pushed = adj @ centered
-    c_phi = weighted_cov(centered, ctx.input_marginal.weights)
-    b_phi = pushed.T @ (ctx.context_marginal.weights[:, None] * pushed)
-    return c_phi, b_phi
-
-
 def ratio_trace(enc: SampleEncoder, ctx: FiniteContext) -> float:
     """Alignment of an encoder with the contexture.
 
@@ -351,8 +348,8 @@ def ratio_trace(enc: SampleEncoder, ctx: FiniteContext) -> float:
     if not cols:
         raise ValueError("encoder has no non-constant independent columns")
     reduced = SampleEncoder(enc.values[:, cols], "input", enc.marginal)
-    c_phi, b_phi = _covariance_pair(reduced, ctx)
-    return float(np.trace(np.linalg.solve(c_phi, b_phi)))
+    cov = estimate_covariances(reduced, ctx)
+    return float(np.trace(np.linalg.solve(cov.c_phi, cov.b_phi)))
 
 
 def trace_gap_bound(enc: SampleEncoder, ctx: FiniteContext,
@@ -411,10 +408,9 @@ def compatible_lift(spec: ContextureSpectrum, f: TaskFunction):
 
 def fisher_discriminant(enc: SampleEncoder, ctx: FiniteContext) -> float:
     """Between-versus-within discriminant score of an encoder."""
-    c_phi, b_phi = _covariance_pair(enc, ctx)
-    gap = c_phi - b_phi
+    cov = estimate_covariances(enc, ctx)
     try:
-        solved = np.linalg.solve(gap, b_phi)
+        solved = np.linalg.solve(cov.c_phi - cov.b_phi, cov.b_phi)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("within-minus-between covariance is singular") from exc
     return 2.0 * float(np.trace(solved))
@@ -449,14 +445,6 @@ def cca_alignment(enc1: SampleEncoder, enc2: SampleEncoder,
     return float(np.mean(cos[:k] ** 2))
 
 
-def _neighbor_sets(values: np.ndarray, k: int) -> list[set[int]]:
-    diff = values[:, None, :] - values[None, :, :]
-    dists = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(dists, np.inf)
-    order = np.argsort(dists, axis=1, kind="stable")  # ties by index
-    return [set(order[i, :k].tolist()) for i in range(values.shape[0])]
-
-
 def mutual_knn(enc1: SampleEncoder, enc2: SampleEncoder, k: int) -> float:
     """Mean intersection-over-union of k-nearest-neighbor sets.
 
@@ -467,9 +455,13 @@ def mutual_knn(enc1: SampleEncoder, enc2: SampleEncoder, k: int) -> float:
         raise ValueError("encoders must share a support")
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}]")
-    sets1 = _neighbor_sets(whiten_columns(enc1.values, enc1.marginal.weights), k)
-    sets2 = _neighbor_sets(whiten_columns(enc2.values, enc2.marginal.weights), k)
-    scores = [len(s1 & s2) / len(s1 | s2) for s1, s2 in zip(sets1, sets2)]
+    sets = []
+    for enc in (enc1, enc2):
+        white = whiten_columns(enc.values, enc.marginal.weights)
+        dists = sq_dists(white, white)
+        np.fill_diagonal(dists, np.inf)  # a point is not its own neighbor
+        sets.append([set(row) for row in nearest(dists, k).tolist()])
+    scores = [len(s1 & s2) / len(s1 | s2) for s1, s2 in zip(*sets)]
     return float(np.mean(scores))
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import (sym_inv_sqrt, weighted_center, weighted_cov,
-                      weighted_mean)
+from ._linalg import (fix_signs, sym_inv_sqrt, weighted_center,
+                      weighted_cov, weighted_mean)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError
 from .spectral import contexture_svd
@@ -171,15 +171,6 @@ def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
     return aux
 
 
-def _sign_fix(columns: np.ndarray) -> np.ndarray:
-    out = columns.copy()
-    for i in range(out.shape[1]):
-        j = int(np.argmax(np.abs(out[:, i])))
-        if out[j, i] < 0:
-            out[:, i] = -out[:, i]
-    return out
-
-
 def _top_weighted_eigenfunctions(op_core: np.ndarray, weights: np.ndarray,
                                  d: int) -> np.ndarray:
     """Top eigenfunctions of a weights-self-adjoint operator.
@@ -190,8 +181,10 @@ def _top_weighted_eigenfunctions(op_core: np.ndarray, weights: np.ndarray,
     sym = 0.5 * (op_core + op_core.T)
     evals, evecs = np.linalg.eigh(sym)
     order = np.argsort(evals, kind="stable")[::-1]
-    top = evecs[:, order[:d]]
-    return _sign_fix(top / np.sqrt(weights)[:, None])
+    # C order: downstream BLAS products round differently by memory layout
+    top = np.ascontiguousarray(evecs[:, order[:d]] / np.sqrt(weights)[:, None])
+    fix_signs(top)
+    return top
 
 
 def _symmetric_sandwich(ctx: FiniteContext, kernel: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import fix_signs
 from .context import DiscreteDistribution, FiniteContext
 
 CLAMP_TOL = 1e-10
@@ -38,7 +39,7 @@ class ContextureSpectrum:
 
     ``singular_values[0] == 1`` with constant singular functions in column
     0 of both sides; columns are orthonormal under the respective marginal
-    weights. Values below 1e-10 are clamped to zero and flagged in
+    weights. Values below ``CLAMP_TOL`` are clamped to zero and flagged by
     ``clamped`` so dual-direction identities know to skip them.
     """
 
@@ -47,7 +48,10 @@ class ContextureSpectrum:
     right_functions: np.ndarray
     input_marginal: DiscreteDistribution
     context_marginal: DiscreteDistribution
-    clamped: np.ndarray
+
+    @property
+    def clamped(self) -> np.ndarray:
+        return self.singular_values < CLAMP_TOL
 
     @property
     def rank(self) -> int:
@@ -69,14 +73,12 @@ class ContextureSpectrum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContextureSpectrum":
-        values = np.asarray(data["singular_values"], dtype=float)
         return cls(
-            singular_values=values,
+            singular_values=np.asarray(data["singular_values"], dtype=float),
             left_functions=np.asarray(data["left"], dtype=float),
             right_functions=np.asarray(data["right"], dtype=float),
             input_marginal=DiscreteDistribution(np.asarray(data["p_x"], dtype=float)),
             context_marginal=DiscreteDistribution(np.asarray(data["p_a"], dtype=float)),
-            clamped=values <= CLAMP_TOL,
         )
 
 
@@ -147,21 +149,13 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     left = np.concatenate((sp[:, None], u[:, :keep]), axis=1) / sp[:, None]
     right = np.concatenate((sq[:, None], vt[:keep].T), axis=1) / sq[:, None]
 
-    for i in range(1, rank):
-        j = int(np.argmax(np.abs(left[:, i])))
-        if left[j, i] < 0:
-            left[:, i] = -left[:, i]
-            right[:, i] = -right[:, i]
-
-    clamped = values < CLAMP_TOL
-    values = np.where(clamped, 0.0, values)
+    fix_signs(left, right)
     return ContextureSpectrum(
-        singular_values=values,
+        singular_values=np.where(values < CLAMP_TOL, 0.0, values),
         left_functions=left,
         right_functions=right,
         input_marginal=ctx.input_marginal,
         context_marginal=ctx.context_marginal,
-        clamped=clamped,
     )
 
 

@@ -17,9 +17,10 @@ from contexture import (DiscreteDistribution, ExperimentConfig,
                         subsample_support, usefulness_metric, verify_theorems,
                         write_report)
 from contexture.datasets import (make_planted_graph, write_benchmark_suite)
-from contexture.harness import (REFERENCE_MEDIANS, _perturbation_context,
-                                equivalence_residuals, random_dense_context,
-                                random_invertible, worstcase_residuals)
+from contexture.harness import REFERENCE_MEDIANS
+from contexture.verify import (_perturbation_context, equivalence_residuals,
+                               random_dense_context, random_invertible,
+                               worstcase_residuals)
 from contexture.objectives import ObjectiveKind
 from contexture.context import PointSet
 from contexture._linalg import weighted_norm

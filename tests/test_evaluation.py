@@ -27,7 +27,7 @@ def synthetic_spectrum(values, n=8, seed=0):
     p = DiscreteDistribution.uniform(n)
     return ContextureSpectrum(singular_values=s, left_functions=left,
                               right_functions=right, input_marginal=p,
-                              context_marginal=p, clamped=s <= 1e-10)
+                              context_marginal=p)
 
 
 def dense_context(seed, n, m, concentration=0.5):
@@ -283,6 +283,15 @@ class TestRatioTrace:
         expected = float(np.sum(spec.nontrivial_values[:2] ** 2))
         assert abs(ratio_trace(enc, ctx) - expected) < 1e-10
 
+    def test_scale_invariance(self):
+        ctx = dense_context(9, 30, 20)
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((30, 3))
+        base = ratio_trace(SampleEncoder(values, "input", ctx.input_marginal), ctx)
+        for scale in (1e4, 1e6):
+            enc = SampleEncoder(scale * values, "input", ctx.input_marginal)
+            assert abs(ratio_trace(enc, ctx) - base) < 1e-10 * base
+
     def test_annihilated_encoder_scores_zero(self, independent_context):
         rng = np.random.default_rng(10)
         enc = SampleEncoder(rng.standard_normal((4, 2)), "input",
@@ -376,6 +385,15 @@ class TestFisherDiscriminant:
         enc = SampleEncoder(spec.left_functions[:, 1:2], "input",
                             two_state.input_marginal)
         assert abs(fisher_discriminant(enc, two_state) - 2 * 0.64 / 0.36) < 1e-10
+
+    def test_scale_invariance(self):
+        ctx = dense_context(9, 30, 20)
+        values = np.random.default_rng(9).standard_normal((30, 3))
+        base = fisher_discriminant(
+            SampleEncoder(values, "input", ctx.input_marginal), ctx)
+        for scale in (1e4, 1e6):
+            enc = SampleEncoder(scale * values, "input", ctx.input_marginal)
+            assert abs(fisher_discriminant(enc, ctx) - base) < 1e-10 * base
 
     def test_annihilated_encoder_scores_zero(self, independent_context):
         rng = np.random.default_rng(18)

@@ -219,7 +219,24 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report["failures"]) == 1
         assert report["failures"][0]["descriptor"] == "knn:5000"
+        assert report["failures"][0]["type"] == "ValueError"
         assert len(report["per_context"]) == 1
+
+    def test_resource_errors_propagate(self, tmp_path, monkeypatch):
+        import contexture.harness as harness_mod
+
+        def out_of_memory(ctx, rank=None):
+            raise MemoryError("simulated allocation failure")
+
+        monkeypatch.setattr(harness_mod, "contexture_svd", out_of_memory)
+        path = tmp_path / "waves.csv"
+        make_waves(path, n=60)
+        cfg = ExperimentConfig(
+            dataset_path=str(path), target_column="y",
+            context_grid=["rbf:0.5"], ridge_grid=[1e-3], d_grid=[1],
+            d0=4, seed=0)
+        with pytest.raises(MemoryError):
+            run_experiment(cfg)
 
     def test_determinism_bytes(self, tmp_path):
         path = tmp_path / "waves.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from contexture import (DiscreteDistribution,
                         operator_matrices, positive_pair_kernel,
                         reconstruct_joint, save_spectrum)
 from contexture._linalg import weighted_norm
+from contexture.spectral import CLAMP_TOL
 
 
 def random_context(seed, n, m):
@@ -224,6 +226,15 @@ class TestSerialization:
         assert np.array_equal(loaded.singular_values, spec.singular_values)
         assert np.array_equal(loaded.left_functions, spec.left_functions)
         assert np.array_equal(loaded.right_functions, spec.right_functions)
+
+    def test_clamped_survives_round_trip_at_tolerance(self, tmp_path, two_state):
+        spec = dataclasses.replace(contexture_svd(two_state),
+                                   singular_values=np.array([1.0, CLAMP_TOL]))
+        path = tmp_path / "spec.json"
+        save_spectrum(spec, path)
+        loaded = load_spectrum(path)
+        assert spec.clamped.tolist() == [False, False]
+        assert np.array_equal(loaded.clamped, spec.clamped)
 
     def test_schema_fields(self, tmp_path, two_state):
         path = tmp_path / "spec.json"
