@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     vf = sub.add_parser("verify", help="run the invariant verification suite")
     vf.add_argument("--n", type=int, default=24)
     vf.add_argument("--m", type=int, default=20)
-    vf.add_argument("--trials", type=int, default=2)
+    vf.add_argument("--trials", type=int, default=3)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--out", default=None, help="report path")
     vf.add_argument("--format", choices=["json", "csv"], default="json")

@@ -62,6 +62,14 @@ class ExperimentConfig:
             raise ValueError("context, ridge, and d grids must be nonempty")
         self.ridge_grid = [float(g) for g in self.ridge_grid]
         self.d_grid = [int(d) for d in self.d_grid]
+        # caught here, not per context: each would fail every context of
+        # the sweep, and d = 0 would score an empty embedding
+        if self.d0 < 1 or not self.beta > 0:
+            raise ValueError("d0 must be at least 1 and beta positive")
+        if not all(g > 0 for g in self.ridge_grid):
+            raise ValueError("ridge penalties must be positive")
+        if min(self.d_grid) < 1:
+            raise ValueError("every d in the d grid must be at least 1")
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,10 +3,14 @@
 Each objective kind has a spectral characterization of its minimizer:
 either the top nontrivial singular functions of the expectation operator
 (the contexture), or the top eigenfunctions of the operator sandwiched
-with a loss kernel. ``solve_spectral`` returns that closed form;
-``solve_variational`` minimizes the same population objective over raw
-value matrices on the finite support, which realizes the unrestricted
-function class the characterizations quantify over.
+with a loss kernel. The table ``_FORMS`` declares, per kind, the support
+the encoder lives on, that loss kernel (none for the contexture kinds),
+whether the objective fits an intercept and whether it constrains the
+encoder to identity covariance; every solver reads it. ``solve_spectral``
+returns the closed form; ``solve_variational`` minimizes the same
+population objective over raw value matrices on the finite support, which
+realizes the unrestricted function class the characterizations quantify
+over.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +28,7 @@ from ._linalg import (fix_signs, sym_inv_sqrt, weighted_center,
                       weighted_cov, weighted_mean)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError
-from .spectral import contexture_svd
+from .spectral import contexture_svd, operator_matrices
 
 CONSTRAINT_ATOL = 1e-6
 
@@ -46,23 +51,41 @@ class ObjectiveKind(str, Enum):
     NODE_EMBEDDING = "node_embedding"
 
 
-# objectives whose minimizer is the contexture itself (constant excluded)
-_CONTEXTURE_KINDS = {
-    ObjectiveKind.SUPERVISED_BALANCED,
-    ObjectiveKind.MULTIVIEW_CONTRASTIVE,
-    ObjectiveKind.MULTIVIEW_NONCONTRASTIVE,
-    ObjectiveKind.NODE_EMBEDDING,
-}
-# objectives solved on the context support
-_CONTEXT_SUPPORT_KINDS = {
-    ObjectiveKind.MULTIVIEW_CONTRASTIVE,
-    ObjectiveKind.MULTIVIEW_NONCONTRASTIVE,
-    ObjectiveKind.RECONSTRUCTION_BIASED,
-    ObjectiveKind.RECONSTRUCTION_UNBIASED,
-}
-_CONSTRAINED_KINDS = {
-    ObjectiveKind.MULTIVIEW_NONCONTRASTIVE,
-    ObjectiveKind.NODE_EMBEDDING,
+@dataclass(frozen=True)
+class _Form:
+    """How one objective kind is solved.
+
+    ``support``: where the encoder lives (``"input"`` or ``"context"``);
+    aux vectors live on the opposite support. ``kernel``: the loss kernel
+    of the sandwiched operator, ``None`` when the minimizer is the
+    contexture. ``biased``: the objective fits an intercept, so only the
+    centred span is determined. ``constrained``: the encoder must have
+    identity covariance.
+    """
+
+    support: str
+    kernel: LossKernelKind | None
+    biased: bool
+    constrained: bool
+
+    def marginals(self, ctx: FiniteContext):
+        """(marginal of the encoder support, marginal of the opposite one)."""
+        if self.support == "input":
+            return ctx.input_marginal, ctx.context_marginal
+        return ctx.context_marginal, ctx.input_marginal
+
+
+_K = LossKernelKind
+_FORMS = {
+    ObjectiveKind.SUPERVISED_UNBIASED: _Form("input", _K.INDICATOR, False, False),
+    ObjectiveKind.SUPERVISED_BALANCED: _Form("input", None, True, False),
+    ObjectiveKind.REGRESSION_BIASED: _Form("input", _K.CENTERED_LINEAR, True, False),
+    ObjectiveKind.REGRESSION_UNBIASED: _Form("input", _K.LINEAR, False, False),
+    ObjectiveKind.MULTIVIEW_CONTRASTIVE: _Form("context", None, True, False),
+    ObjectiveKind.MULTIVIEW_NONCONTRASTIVE: _Form("context", None, True, True),
+    ObjectiveKind.RECONSTRUCTION_BIASED: _Form("context", _K.CENTERED_LINEAR, True, False),
+    ObjectiveKind.RECONSTRUCTION_UNBIASED: _Form("context", _K.LINEAR, False, False),
+    ObjectiveKind.NODE_EMBEDDING: _Form("input", None, True, True),
 }
 
 
@@ -121,8 +144,21 @@ class VariationalOptions:
     steps: int = 5000
     learning_rate: float = 0.05
     seed: int = 0
-    constraint_mode: str = "whiten"
-    penalty_weight: float = 10.0
+
+
+def _row_codes(vecs: np.ndarray) -> np.ndarray:
+    """Index of each row among the distinct rows (rows equal under ``==``).
+
+    A lexicographic sort, not ``np.unique(axis=0)``: that views each row
+    as a record with one field per column and takes about a second on the
+    one-hot identity of a 1400-point support.
+    """
+    order = np.lexsort(vecs.T[::-1])
+    ordered = vecs[order]
+    fresh = np.any(ordered[1:] != ordered[:-1], axis=1)
+    codes = np.empty(len(vecs), dtype=int)
+    codes[order] = np.concatenate(([0], np.cumsum(fresh)))
+    return codes
 
 
 def loss_kernel_matrix(kind, context_vectors: np.ndarray | None,
@@ -134,20 +170,18 @@ def loss_kernel_matrix(kind, context_vectors: np.ndarray | None,
     vectors; ``centered_linear`` subtracts their marginal mean first.
     """
     kind = LossKernelKind(kind)
-    if kind is LossKernelKind.INDICATOR:
-        if context_vectors is None:
-            return np.eye(len(marginal))
-        vecs = np.atleast_2d(np.asarray(context_vectors, dtype=float))
-        if vecs.shape[0] != len(marginal):
-            raise ValueError("context vectors must match the marginal length")
-        return np.all(vecs[:, None, :] == vecs[None, :, :], axis=2).astype(float)
     if context_vectors is None:
+        if kind is LossKernelKind.INDICATOR:
+            return np.eye(len(marginal))
         raise ValueError(f"{kind.value} kernel needs context vectors")
     vecs = np.asarray(context_vectors, dtype=float)
     if vecs.ndim == 1:
         vecs = vecs[:, None]
     if vecs.shape[0] != len(marginal):
         raise ValueError("context vectors must match the marginal length")
+    if kind is LossKernelKind.INDICATOR:
+        codes = _row_codes(vecs)
+        return (codes[:, None] == codes[None, :]).astype(float)
     if kind is LossKernelKind.CENTERED_LINEAR:
         vecs = vecs - marginal.weights @ vecs
     return vecs @ vecs.T
@@ -155,12 +189,15 @@ def loss_kernel_matrix(kind, context_vectors: np.ndarray | None,
 
 def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
                  aux: np.ndarray | None) -> np.ndarray:
-    """Coordinate vectors the loss kernel acts on; one-hot when absent."""
-    if objective in (ObjectiveKind.RECONSTRUCTION_BIASED,
-                     ObjectiveKind.RECONSTRUCTION_UNBIASED):
-        size = ctx.n_inputs
-    else:
-        size = ctx.n_context
+    """Coordinate vectors the loss kernel acts on, one row per point of the
+    support opposite the encoder's; one-hot when absent.
+
+    Under the indicator kernel only the identity of a row matters, so rows
+    become the one-hot code of their class: the least-squares form then
+    fits the same kernel the sandwiched operator uses.
+    """
+    form = _FORMS[objective]
+    size = len(form.marginals(ctx)[1])
     if aux is None:
         return np.eye(size)
     aux = np.asarray(aux, dtype=float)
@@ -168,6 +205,9 @@ def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
         aux = aux[:, None]
     if aux.shape[0] != size:
         raise ValueError(f"aux must have {size} rows for {objective.value}")
+    if form.kernel is LossKernelKind.INDICATOR:
+        codes = _row_codes(aux)
+        return np.eye(codes.max() + 1)[codes]
     return aux
 
 
@@ -187,20 +227,6 @@ def _top_weighted_eigenfunctions(op_core: np.ndarray, weights: np.ndarray,
     return top
 
 
-def _symmetric_sandwich(ctx: FiniteContext, kernel: np.ndarray) -> np.ndarray:
-    """Whitened matrix of forward o loss-kernel o adjoint on the input side."""
-    p = ctx.input_marginal.weights
-    b = np.sqrt(p)[:, None] * ctx.conditional
-    return b @ kernel @ b.T
-
-
-def _symmetric_sandwich_context(ctx: FiniteContext, kernel: np.ndarray) -> np.ndarray:
-    p = ctx.input_marginal.weights
-    q = ctx.context_marginal.weights
-    b = (p[:, None] * ctx.conditional) / np.sqrt(q)[None, :]
-    return b.T @ kernel @ b
-
-
 def solve_spectral(objective, ctx: FiniteContext, d: int,
                    aux: np.ndarray | None = None) -> SampleEncoder:
     """Closed-form minimizer of a pretraining objective.
@@ -216,59 +242,42 @@ def solve_spectral(objective, ctx: FiniteContext, d: int,
     objective = ObjectiveKind(objective)
     if d < 1:
         raise ValueError("d must be at least 1")
-    if objective in _CONTEXTURE_KINDS:
+    form = _FORMS[objective]
+    marginal = form.marginals(ctx)[0]
+    if form.kernel is None:
         full = min(ctx.n_inputs, ctx.n_context)
         if d + 1 > full:
             raise ValueError(f"d={d} exceeds the nontrivial rank {full - 1}")
         spec = contexture_svd(ctx, rank=d + 1)
-        if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
+        if form.support == "input":
+            values = spec.left_functions[:, 1:]
+        elif objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
             values = spec.right_functions[:, 1:] * spec.singular_values[None, 1:]
-            return SampleEncoder(values, "context", ctx.context_marginal)
-        if objective is ObjectiveKind.MULTIVIEW_NONCONTRASTIVE:
-            return SampleEncoder(spec.right_functions[:, 1:], "context",
-                                 ctx.context_marginal)
-        return SampleEncoder(spec.left_functions[:, 1:], "input",
-                             ctx.input_marginal)
-
-    core, side = _sandwiched_operator(objective, ctx, aux)
-    if side == "context":
-        if d > ctx.n_context:
-            raise ValueError(f"d={d} exceeds the context support size")
-        funcs = _top_weighted_eigenfunctions(core, ctx.context_marginal.weights, d)
-        return SampleEncoder(funcs, "context", ctx.context_marginal)
-    if d > ctx.n_inputs:
-        raise ValueError(f"d={d} exceeds the input support size")
-    funcs = _top_weighted_eigenfunctions(core, ctx.input_marginal.weights, d)
-    return SampleEncoder(funcs, "input", ctx.input_marginal)
+        else:
+            values = spec.right_functions[:, 1:]
+        return SampleEncoder(values, form.support, marginal)
+    if d > len(marginal):
+        raise ValueError(f"d={d} exceeds the {form.support} support size")
+    funcs = _top_weighted_eigenfunctions(
+        _sandwiched_operator(objective, ctx, aux), marginal.weights, d)
+    return SampleEncoder(funcs, form.support, marginal)
 
 
 def _sandwiched_operator(objective: ObjectiveKind, ctx: FiniteContext,
-                         aux: np.ndarray | None):
-    """Whitened loss-kernel sandwich of the expectation operator, plus the
-    support side it acts on."""
-    vectors = _resolve_aux(objective, ctx, aux)
-    if objective is ObjectiveKind.SUPERVISED_UNBIASED:
-        kernel = loss_kernel_matrix(LossKernelKind.INDICATOR,
-                                    None if aux is None else vectors,
-                                    ctx.context_marginal)
-    elif objective is ObjectiveKind.REGRESSION_UNBIASED:
-        kernel = loss_kernel_matrix(LossKernelKind.LINEAR, vectors,
-                                    ctx.context_marginal)
-    elif objective is ObjectiveKind.REGRESSION_BIASED:
-        kernel = loss_kernel_matrix(LossKernelKind.CENTERED_LINEAR, vectors,
-                                    ctx.context_marginal)
-    elif objective is ObjectiveKind.RECONSTRUCTION_UNBIASED:
-        kernel = loss_kernel_matrix(LossKernelKind.LINEAR, vectors,
-                                    ctx.input_marginal)
-    elif objective is ObjectiveKind.RECONSTRUCTION_BIASED:
-        kernel = loss_kernel_matrix(LossKernelKind.CENTERED_LINEAR, vectors,
-                                    ctx.input_marginal)
+                         aux: np.ndarray | None) -> np.ndarray:
+    """Whitened loss-kernel sandwich of the expectation operator on the
+    encoder support: ``b @ kernel @ b.T`` with the kernel on the opposite
+    support."""
+    form = _FORMS[objective]
+    p = ctx.input_marginal.weights
+    if form.support == "input":
+        b = np.sqrt(p)[:, None] * ctx.conditional
     else:
-        raise ValueError(f"{objective} has no loss-kernel sandwich form")
-    if objective in (ObjectiveKind.RECONSTRUCTION_BIASED,
-                     ObjectiveKind.RECONSTRUCTION_UNBIASED):
-        return _symmetric_sandwich_context(ctx, kernel), "context"
-    return _symmetric_sandwich(ctx, kernel), "input"
+        q = ctx.context_marginal.weights
+        b = ((p[:, None] * ctx.conditional) / np.sqrt(q)[None, :]).T
+    kernel = loss_kernel_matrix(form.kernel, _resolve_aux(objective, ctx, aux),
+                                form.marginals(ctx)[1])
+    return b @ kernel @ b.T
 
 
 def operator_eigenvalues(objective, ctx: FiniteContext,
@@ -280,9 +289,9 @@ def operator_eigenvalues(objective, ctx: FiniteContext,
     loss-kernel objectives report the sandwiched operator's eigenvalues.
     """
     objective = ObjectiveKind(objective)
-    if objective in _CONTEXTURE_KINDS:
+    if _FORMS[objective].kernel is None:
         return contexture_svd(ctx).nontrivial_values
-    core, _ = _sandwiched_operator(objective, ctx, aux)
+    core = _sandwiched_operator(objective, ctx, aux)
     evals = np.linalg.eigvalsh(0.5 * (core + core.T))
     return evals[::-1]
 
@@ -302,7 +311,6 @@ class _LeastSquaresForm:
     row_weights: np.ndarray
     targets: np.ndarray
     intercept: bool
-    support: str
     offset: float
 
 
@@ -310,32 +318,23 @@ def _least_squares_form(objective: ObjectiveKind, ctx: FiniteContext,
                         vectors: np.ndarray) -> _LeastSquaresForm:
     p = ctx.input_marginal.weights
     q = ctx.context_marginal.weights
-    t = ctx.conditional
-    if objective in (ObjectiveKind.SUPERVISED_UNBIASED,
-                     ObjectiveKind.REGRESSION_UNBIASED,
-                     ObjectiveKind.REGRESSION_BIASED):
-        targets = t @ vectors
-        offset = float(q @ np.sum(vectors ** 2, axis=1)
-                       - p @ np.sum(targets ** 2, axis=1))
-        intercept = objective is ObjectiveKind.REGRESSION_BIASED
-        return _LeastSquaresForm(p, targets, intercept, "input", offset)
     if objective is ObjectiveKind.SUPERVISED_BALANCED:
+        t = ctx.conditional
         inv_sq = 1.0 / np.sqrt(q)
         rho = t @ inv_sq
         targets = (t * inv_sq[None, :]) @ vectors / rho[:, None]
         weights = p * rho
         offset = float(np.sqrt(q) @ np.sum(vectors ** 2, axis=1)
                        - weights @ np.sum(targets ** 2, axis=1))
-        return _LeastSquaresForm(weights, targets, True, "input", offset)
-    if objective in (ObjectiveKind.RECONSTRUCTION_BIASED,
-                     ObjectiveKind.RECONSTRUCTION_UNBIASED):
-        adj = (t * p[:, None]).T / q[:, None]
-        targets = adj @ vectors
-        offset = float(p @ np.sum(vectors ** 2, axis=1)
-                       - q @ np.sum(targets ** 2, axis=1))
-        intercept = objective is ObjectiveKind.RECONSTRUCTION_BIASED
-        return _LeastSquaresForm(q, targets, intercept, "context", offset)
-    raise ValueError(f"{objective} has no least-squares form")
+        return _LeastSquaresForm(weights, targets, True, offset)
+    # conditional expectation of the vectors on the encoder support
+    form = _FORMS[objective]
+    expect, rows, cols = ((ctx.conditional, p, q) if form.support == "input"
+                          else (operator_matrices(ctx).adjoint, q, p))
+    targets = expect @ vectors
+    offset = float(cols @ np.sum(vectors ** 2, axis=1)
+                   - rows @ np.sum(targets ** 2, axis=1))
+    return _LeastSquaresForm(rows, targets, form.biased, offset)
 
 
 def _ls_solve(form: _LeastSquaresForm, values: np.ndarray):
@@ -353,7 +352,7 @@ def _ls_solve(form: _LeastSquaresForm, values: np.ndarray):
 
 
 def _ls_value_and_grad(form: _LeastSquaresForm, values: np.ndarray,
-                       want_grad: bool):
+                       want_grad: bool = True):
     coef, fitted = _ls_solve(form, values)
     resid = fitted - form.targets
     value = float(form.row_weights @ np.sum(resid ** 2, axis=1)) + form.offset
@@ -364,20 +363,13 @@ def _ls_value_and_grad(form: _LeastSquaresForm, values: np.ndarray,
     return value, grad
 
 
-def _multiview_contrastive_terms(ctx: FiniteContext):
-    p = ctx.input_marginal.weights
-    q = ctx.context_marginal.weights
-    h = ctx.conditional.T @ (p[:, None] * ctx.conditional)
-    return q, h
-
-
 def _center_chain(grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # gradient through v -> v - mean_w(v): subtract w times the column sums
     return grad - weights[:, None] * grad.sum(axis=0)[None, :]
 
 
-def _lc_value_and_grad(ctx: FiniteContext, values: np.ndarray, want_grad: bool):
-    q, h = _multiview_contrastive_terms(ctx)
+def _lc_value_and_grad(q: np.ndarray, h: np.ndarray, values: np.ndarray,
+                       want_grad: bool = True):
     centered = weighted_center(values, q)
     hg = h @ centered
     gram = centered.T @ (q[:, None] * centered)
@@ -388,27 +380,36 @@ def _lc_value_and_grad(ctx: FiniteContext, values: np.ndarray, want_grad: bool):
     return value, _center_chain(grad, q)
 
 
-def _ln_value_and_grad(ctx: FiniteContext, values: np.ndarray, want_grad: bool):
-    q, h = _multiview_contrastive_terms(ctx)
-    centered = weighted_center(values, q)
-    hg = h @ centered
-    value = float(2.0 * np.sum(q[:, None] * centered ** 2)
-                  - 2.0 * np.sum(centered * hg))
+def _quadratic_value_and_grad(weights: np.ndarray, m: np.ndarray, scale: float,
+                              values: np.ndarray, want_grad: bool = True):
+    """scale * (E_w |v|^2 - <v, M v>) over centred values v."""
+    centered = weighted_center(values, weights)
+    mg = m @ centered
+    value = float(scale * (np.sum(weights[:, None] * centered ** 2)
+                           - np.sum(centered * mg)))
     if not want_grad:
         return value, None
-    return value, _center_chain(4.0 * q[:, None] * centered - 4.0 * hg, q)
+    return value, _center_chain(
+        2.0 * scale * (weights[:, None] * centered - mg), weights)
 
 
-def _node_value_and_grad(ctx: FiniteContext, values: np.ndarray, want_grad: bool):
+def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
+                     aux: np.ndarray | None):
+    """``value_grad(values, want_grad=True)`` of the exact population
+    objective; the matrices it reads are built once, here."""
+    form = _FORMS[objective]
+    if form.kernel is not None or objective is ObjectiveKind.SUPERVISED_BALANCED:
+        ls = _least_squares_form(objective, ctx, _resolve_aux(objective, ctx, aux))
+        return partial(_ls_value_and_grad, ls)
     p = ctx.input_marginal.weights
-    m_sym = 0.5 * (p[:, None] * ctx.conditional
-                   + (p[:, None] * ctx.conditional).T)
-    centered = weighted_center(values, p)
-    mg = m_sym @ centered
-    value = float(np.sum(p[:, None] * centered ** 2) - np.sum(centered * mg))
-    if not want_grad:
-        return value, None
-    return value, _center_chain(2.0 * p[:, None] * centered - 2.0 * mg, p)
+    joint = p[:, None] * ctx.conditional
+    if objective is ObjectiveKind.NODE_EMBEDDING:
+        return partial(_quadratic_value_and_grad, p, 0.5 * (joint + joint.T), 1.0)
+    q = ctx.context_marginal.weights
+    h = ctx.conditional.T @ joint
+    if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
+        return partial(_lc_value_and_grad, q, h)
+    return partial(_quadratic_value_and_grad, q, h, 2.0)
 
 
 def _check_unit_covariance(enc_values: np.ndarray, weights: np.ndarray,
@@ -430,19 +431,12 @@ def eval_objective(objective, ctx: FiniteContext, enc: SampleEncoder,
     covariance is not the identity.
     """
     objective = ObjectiveKind(objective)
-    expected = "context" if objective in _CONTEXT_SUPPORT_KINDS else "input"
-    if enc.support != expected:
-        raise ValueError(f"{objective.value} expects a {expected}-support encoder")
-    if objective is ObjectiveKind.NODE_EMBEDDING:
-        _check_unit_covariance(enc.values, ctx.input_marginal.weights, objective)
-        return _node_value_and_grad(ctx, enc.values, False)[0]
-    if objective is ObjectiveKind.MULTIVIEW_NONCONTRASTIVE:
-        _check_unit_covariance(enc.values, ctx.context_marginal.weights, objective)
-        return _ln_value_and_grad(ctx, enc.values, False)[0]
-    if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
-        return _lc_value_and_grad(ctx, enc.values, False)[0]
-    form = _least_squares_form(objective, ctx, _resolve_aux(objective, ctx, aux))
-    return _ls_value_and_grad(form, enc.values, False)[0]
+    form = _FORMS[objective]
+    if enc.support != form.support:
+        raise ValueError(f"{objective.value} expects a {form.support}-support encoder")
+    if form.constrained:
+        _check_unit_covariance(enc.values, form.marginals(ctx)[0].weights, objective)
+    return _population_loss(objective, ctx, aux)(enc.values, False)[0]
 
 
 def solve_variational(objective, ctx: FiniteContext, d: int,
@@ -453,9 +447,7 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     The learning rate halves whenever a step fails to descend
     (Polyak-style); 100 consecutive non-descending steps raise
     DivergenceError with the objective trace. Constrained objectives keep
-    iterates feasible by exact whitening after every step
-    (``constraint_mode="whiten"``) or relax the constraint into a
-    quadratic penalty (``"penalty"``).
+    iterates feasible by exact whitening after every step.
     """
     objective = ObjectiveKind(objective)
     opts = opts or VariationalOptions()
@@ -463,52 +455,15 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
         raise ValueError("steps must be at least 1")
     rng = np.random.default_rng(opts.seed)
 
-    if objective in _CONTEXT_SUPPORT_KINDS:
-        size, weights, marginal = (ctx.n_context, ctx.context_marginal.weights,
-                                   ctx.context_marginal)
-    else:
-        size, weights, marginal = (ctx.n_inputs, ctx.input_marginal.weights,
-                                   ctx.input_marginal)
+    form = _FORMS[objective]
+    marginal = form.marginals(ctx)[0]
+    size, weights = len(marginal), marginal.weights
     if d > size:
         raise ValueError(f"d={d} exceeds the support size {size}")
-
-    constrained = objective in _CONSTRAINED_KINDS
-    whiten = constrained and opts.constraint_mode == "whiten"
-    if constrained and opts.constraint_mode not in ("whiten", "penalty"):
-        raise ValueError("constraint_mode must be 'whiten' or 'penalty'")
-
-    if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
-        def value_grad(v, g=True):
-            return _lc_value_and_grad(ctx, v, g)
-    elif objective is ObjectiveKind.MULTIVIEW_NONCONTRASTIVE:
-        def value_grad(v, g=True):
-            return _ln_value_and_grad(ctx, v, g)
-    elif objective is ObjectiveKind.NODE_EMBEDDING:
-        def value_grad(v, g=True):
-            return _node_value_and_grad(ctx, v, g)
-    else:
-        form = _least_squares_form(objective, ctx,
-                                   _resolve_aux(objective, ctx, aux))
-
-        def value_grad(v, g=True):
-            return _ls_value_and_grad(form, v, g)
-
-    if constrained and not whiten:
-        inner = value_grad
-
-        def value_grad(v, g=True):
-            base, grad = inner(v, g)
-            cov = weighted_cov(v, weights)
-            gap = cov - np.eye(d)
-            base += opts.penalty_weight * float(np.sum(gap ** 2))
-            if g:
-                centered = weighted_center(v, weights)
-                grad = grad + 4.0 * opts.penalty_weight * weights[:, None] * (
-                    centered @ gap)
-            return base, grad
+    value_grad = _population_loss(objective, ctx, aux)
 
     def project(v):
-        if whiten:
+        if form.constrained:
             return weighted_center(v, weights) @ sym_inv_sqrt(
                 weighted_cov(v, weights))
         return v
@@ -548,8 +503,7 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
                 raise DivergenceError(
                     f"{objective.value} failed to descend for {rejected} "
                     "consecutive steps", trace=trace)
-    return SampleEncoder(current, "context" if objective in
-                         _CONTEXT_SUPPORT_KINDS else "input", marginal)
+    return SampleEncoder(current, form.support, marginal)
 
 
 def average_encoder(ctx: FiniteContext, psi: SampleEncoder) -> SampleEncoder:

@@ -171,14 +171,9 @@ def reconstruct_joint(spec: ContextureSpectrum) -> np.ndarray:
     return p[:, None] * core * q[None, :]
 
 
-def save_spectrum(spec: ContextureSpectrum, path, *, estimated: bool = False,
-                  m: int | None = None) -> None:
-    data = spec.to_json_dict()
-    if estimated:
-        data["estimated"] = True
-        data["m"] = int(m) if m is not None else None
+def save_spectrum(spec: ContextureSpectrum, path) -> None:
     with open(path, "w") as fh:
-        json.dump(data, fh)
+        json.dump(spec.to_json_dict(), fh)
         fh.write("\n")
 
 

@@ -21,10 +21,10 @@ from .estimation import (estimate_covariances, estimate_spectrum_posthoc,
 from .evaluation import (TaskFunction, approx_err, cca_alignment,
                          compatibility, compatible_lift, ratio_trace,
                          usefulness_metric, worst_case_err)
-from .objectives import (ObjectiveKind, SampleEncoder, VariationalOptions,
-                         average_encoder, eval_objective,
-                         operator_eigenvalues, solve_spectral,
-                         solve_variational)
+from .objectives import (_FORMS, LossKernelKind, ObjectiveKind,
+                         SampleEncoder, VariationalOptions, average_encoder,
+                         eval_objective, operator_eigenvalues,
+                         solve_spectral, solve_variational)
 from .spectral import (ContextureSpectrum, OperatorMatrices, contexture_svd,
                        dual_kernel, operator_matrices, reconstruct_joint)
 
@@ -92,24 +92,19 @@ def nondegenerate_context(rng: np.random.Generator, objective, n: int, m: int,
     """Random context (plus aux vectors) whose relevant operator spectrum
     has a clear gap after position d, so span comparisons are well posed."""
     objective = ObjectiveKind(objective)
+    form = _FORMS[objective]
     for _ in range(tries):
         if objective is ObjectiveKind.NODE_EMBEDDING:
             ctx = random_graph_context(rng, n)
-            aux = None
         elif objective is ObjectiveKind.SUPERVISED_BALANCED:
             # constant balancing weight: the closed form is exact here
             ctx = random_doubly_stochastic_context(rng, n)
-            aux = None
         else:
             ctx = random_dense_context(rng, n, m, concentration=0.35)
-            if objective in (ObjectiveKind.REGRESSION_BIASED,
-                             ObjectiveKind.REGRESSION_UNBIASED):
-                aux = rng.standard_normal((m, 3))
-            elif objective in (ObjectiveKind.RECONSTRUCTION_BIASED,
-                               ObjectiveKind.RECONSTRUCTION_UNBIASED):
-                aux = rng.standard_normal((n, 3))
-            else:
-                aux = None
+        aux = None
+        # linear kernels need coordinates; the indicator compares identity
+        if form.kernel in (LossKernelKind.LINEAR, LossKernelKind.CENTERED_LINEAR):
+            aux = rng.standard_normal((len(form.marginals(ctx)[1]), 3))
         evals = operator_eigenvalues(objective, ctx, aux)
         if evals.size <= d or evals[0] <= 0:
             continue
@@ -163,13 +158,9 @@ def equivalence_residuals(objective, rng, n, m, d, opts=None, min_gap=0.03):
     enc_v = solve_variational(objective, ctx, d, opts, aux)
     val_s = eval_objective(objective, ctx, enc_s, aux)
     val_v = eval_objective(objective, ctx, enc_v, aux)
-    weights = (ctx.context_marginal.weights if enc_s.support == "context"
-               else ctx.input_marginal.weights)
-    center = objective is not ObjectiveKind.SUPERVISED_UNBIASED and \
-        objective is not ObjectiveKind.REGRESSION_UNBIASED and \
-        objective is not ObjectiveKind.RECONSTRUCTION_UNBIASED
-    cos = principal_angle_cosines(enc_v.values, enc_s.values, weights,
-                                  center=center)
+    cos = principal_angle_cosines(enc_v.values, enc_s.values,
+                                  enc_s.marginal.weights,
+                                  center=_FORMS[objective].biased)
     span_residual = 1.0 - float(np.min(cos)) if cos.size else 1.0
     return span_residual, abs(val_v - val_s)
 
@@ -367,12 +358,10 @@ def minimality_checks(rng, n, m, trials) -> list[dict]:
         ctx, aux = nondegenerate_context(rng, kind, n, m, d=2)
         enc = solve_spectral(kind, ctx, 2, aux)
         best = eval_objective(kind, ctx, enc, aux)
-        size = ctx.n_context if enc.support == "context" else ctx.n_inputs
-        marginal = (ctx.context_marginal if enc.support == "context"
-                    else ctx.input_marginal)
+        marginal = enc.marginal
         rand_best = min(
             eval_objective(kind, ctx, SampleEncoder(whiten_columns(
-                rng.standard_normal((size, 2)), marginal.weights),
+                rng.standard_normal((len(marginal), 2)), marginal.weights),
                 enc.support, marginal), aux)
             for _ in range(200))
         res.append(max(0.0, best - rand_best))

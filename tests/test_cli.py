@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from contexture.cli import main
 from contexture.datasets import make_waves
+from contexture.verify import verify_theorems
 
 
 @pytest.fixture
@@ -91,6 +93,36 @@ def test_experiment_subcommand(tmp_path, waves_csv, capsys):
     printed = capsys.readouterr().out
     assert "reference medians" in printed
     assert "0.587" in printed and "0.659" in printed
+
+
+def test_experiment_rejects_bad_config(tmp_path, waves_csv, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[experiment]\n"
+        f"dataset_path = {waves_csv}\n"
+        "target_column = y\n"
+        "context_grid = rbf:0.3\n"
+        "ridge_grid = 1e-4\n"
+        "d_grid = 1\n"
+        "d0 = 0\n")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    assert "d0" in capsys.readouterr().err
+
+
+def test_verify_default_trials_match_library(monkeypatch):
+    import contexture.cli as cli_mod
+
+    seen = {}
+
+    def fake_verify(**kwargs):
+        seen.update(kwargs)
+        return {"checks": [], "all_passed": True}
+
+    monkeypatch.setattr(cli_mod, "verify_theorems", fake_verify)
+    assert main(["verify"]) == 0
+    library = inspect.signature(verify_theorems).parameters
+    assert seen == {name: p.default for name, p in library.items()}
+    assert seen["trials"] == 3
 
 
 def test_verify_subcommand(tmp_path, capsys):

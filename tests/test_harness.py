@@ -146,6 +146,17 @@ class TestConfig:
             ExperimentConfig(dataset_path="x", target_column="y",
                              context_grid=[], ridge_grid=[1e-3], d_grid=[1])
 
+    @pytest.mark.parametrize("bad", [
+        {"d0": 0}, {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")},
+        {"ridge_grid": [1e-3, 0.0]}, {"ridge_grid": [-1.0]},
+        {"d_grid": [0, 2]}])
+    def test_values_that_fail_every_context_rejected(self, bad):
+        fields = {"dataset_path": "x", "target_column": "y",
+                  "context_grid": ["rbf:1"], "ridge_grid": [1e-3],
+                  "d_grid": [1], **bad}
+        with pytest.raises(ValueError):
+            ExperimentConfig(**fields)
+
 
 class TestWriteReport:
     def test_json_round_trip(self, tmp_path):

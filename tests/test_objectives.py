@@ -9,6 +9,7 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         load_encoder, loss_kernel_matrix, save_encoder,
                         solve_spectral, solve_variational)
 from contexture._linalg import principal_angle_cosines, weighted_norm
+from contexture.objectives import _FORMS, LossKernelKind, ObjectiveKind
 
 
 def channel_as_label_context():
@@ -22,6 +23,14 @@ class TestLossKernelMatrix:
         vecs = np.eye(3)
         k = loss_kernel_matrix("indicator", vecs, DiscreteDistribution.uniform(3))
         assert np.array_equal(k, np.eye(3))
+
+    def test_indicator_groups_equal_rows(self):
+        marg = DiscreteDistribution.uniform(4)
+        vecs = np.array([[0.0, 1.0], [2.0, 0.0], [-0.0, 1.0], [2.0, 0.0]])
+        k = loss_kernel_matrix("indicator", vecs, marg)
+        assert np.array_equal(k, np.all(vecs[:, None] == vecs[None], axis=2))
+        codes = np.array([0.0, 2.0, 0.0, 2.0])
+        assert np.array_equal(loss_kernel_matrix("indicator", codes, marg), k)
 
     def test_linear_on_orthonormal_rows(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -153,16 +162,22 @@ class TestSolveVariational:
         score = cca_alignment(var, spectral, ctx.context_marginal)
         assert score >= 0.999
 
-    def test_penalty_mode_approaches_optimum(self, two_state):
-        opts = VariationalOptions(constraint_mode="penalty",
-                                  penalty_weight=500.0, seed=2)
-        enc = solve_variational("multiview_noncontrastive", two_state, 1, opts)
-        # penalty mode only approximates the constraint; check the span
-        spec = contexture_svd(two_state)
-        cos = principal_angle_cosines(enc.values, spec.right_functions[:, 1:2],
-                                      two_state.context_marginal.weights,
-                                      center=True)
-        assert cos[0] > 0.99
+    def test_supervised_class_codes_equal_one_hot(self):
+        # the indicator loss only sees which rows share a class, so raw
+        # codes must score and solve exactly as their one-hot encoding
+        rng = np.random.default_rng(0)
+        ctx = FiniteContext(rng.dirichlet(np.ones(6), size=8),
+                            DiscreteDistribution.uniform(8))
+        codes = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        one_hot = np.eye(3)[codes.astype(int)]
+        spectral = solve_spectral("supervised_unbiased", ctx, 2, codes)
+        var = solve_variational("supervised_unbiased", ctx, 2, aux=codes)
+        for enc in (spectral, var):
+            assert abs(eval_objective("supervised_unbiased", ctx, enc, codes)
+                       - eval_objective("supervised_unbiased", ctx, enc,
+                                        one_hot)) < 1e-12
+        assert (eval_objective("supervised_unbiased", ctx, spectral, codes)
+                <= eval_objective("supervised_unbiased", ctx, var, codes) + 1e-9)
 
     def test_divergence_raises_with_trace(self, two_state):
         opts = VariationalOptions(learning_rate=1e40, steps=200, seed=0)
@@ -207,3 +222,53 @@ class TestSampleEncoderCaches:
             SampleEncoder(np.ones((3, 1)), "input", marg)
         with pytest.raises(ValueError):
             SampleEncoder(np.ones((2, 1)), "middle", marg)
+
+
+class TestObjectiveTable:
+    """Every kind is declared once in ``_FORMS``; the solvers obey it."""
+
+    @staticmethod
+    def _context(kind):
+        rng = np.random.default_rng(3)
+        if kind is ObjectiveKind.NODE_EMBEDDING:  # needs a reversible walk
+            w = rng.random((7, 7))
+            return build_graph_context(w + w.T)
+        rows = rng.dirichlet(np.ones(5), size=7)
+        return FiniteContext(rows, DiscreteDistribution(rng.dirichlet(np.ones(7))))
+
+    def test_every_kind_declared(self):
+        assert set(_FORMS) == set(ObjectiveKind)
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_solvers_follow_the_table(self, kind):
+        ctx = self._context(kind)
+        form = _FORMS[kind]
+        own, other = ((ctx.input_marginal, ctx.context_marginal)
+                      if form.support == "input"
+                      else (ctx.context_marginal, ctx.input_marginal))
+        aux = None
+        if form.kernel in (LossKernelKind.LINEAR,
+                           LossKernelKind.CENTERED_LINEAR):
+            aux = np.random.default_rng(4).standard_normal((len(other), 2))
+        for enc in (solve_spectral(kind, ctx, 2, aux),
+                    solve_variational(kind, ctx, 2,
+                                      VariationalOptions(steps=20), aux)):
+            assert enc.support == form.support
+            assert enc.marginal is own
+            assert enc.values.shape == (len(own), 2)
+            eval_objective(kind, ctx, enc, aux)
+            wrong = "context" if form.support == "input" else "input"
+            flipped = SampleEncoder(np.ones((len(other), 2)), wrong, other)
+            with pytest.raises(ValueError, match="support encoder"):
+                eval_objective(kind, ctx, flipped, aux)
+
+    @pytest.mark.parametrize("kind", [k for k in ObjectiveKind
+                                      if _FORMS[k].constrained])
+    def test_constrained_kinds_reject_non_whitened(self, kind):
+        ctx = self._context(kind)
+        own = (ctx.input_marginal if _FORMS[kind].support == "input"
+               else ctx.context_marginal)
+        enc = SampleEncoder(2.0 * np.arange(len(own), dtype=float),
+                            _FORMS[kind].support, own)
+        with pytest.raises(ConstraintViolationError):
+            eval_objective(kind, ctx, enc)

@@ -238,8 +238,6 @@ class TestSerialization:
 
     def test_schema_fields(self, tmp_path, two_state):
         path = tmp_path / "spec.json"
-        save_spectrum(contexture_svd(two_state), path, estimated=True, m=2)
+        save_spectrum(contexture_svd(two_state), path)
         data = json.loads(path.read_text())
-        assert set(data) == {"singular_values", "left", "right", "p_x", "p_a",
-                             "estimated", "m"}
-        assert data["estimated"] is True and data["m"] == 2
+        assert set(data) == {"singular_values", "left", "right", "p_x", "p_a"}
