@@ -13,6 +13,13 @@ from .errors import NumericalError
 
 # rows per block in ``sq_dists``: bounds the difference tensor it builds
 _DIST_BLOCK_ROWS = 256
+# ``sym_inv_sqrt`` rejects a matrix whose eigenvalue ratio is below this
+_WHITEN_REL_FLOOR = 1e-13
+# relative size below which a singular value or residual counts as zero
+_RANK_REL_TOL = 1e-10
+# ``golden_section_min`` stops at this bracket width or step count
+_GOLDEN_TOL = 1e-12
+_GOLDEN_MAX_ITER = 300
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,7 +76,7 @@ def weighted_cov(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return centered.T @ (weights[:, None] * centered)
 
 
-def sym_inv_sqrt(mat: np.ndarray, rel_floor: float = 1e-13) -> np.ndarray:
+def sym_inv_sqrt(mat: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric PSD matrix.
 
     Raises NumericalError if the matrix is numerically rank deficient,
@@ -78,7 +85,7 @@ def sym_inv_sqrt(mat: np.ndarray, rel_floor: float = 1e-13) -> np.ndarray:
     mat = 0.5 * (mat + mat.T)
     evals, evecs = np.linalg.eigh(mat)
     top = float(evals[-1])
-    if top <= 0.0 or evals[0] < rel_floor * top:
+    if top <= 0.0 or evals[0] < _WHITEN_REL_FLOOR * top:
         raise NumericalError("matrix is numerically singular; cannot whiten")
     return (evecs / np.sqrt(evals)) @ evecs.T
 
@@ -89,14 +96,13 @@ def whiten_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return centered @ sym_inv_sqrt(weighted_cov(values, weights))
 
 
-def orthonormal_basis(values: np.ndarray, weights: np.ndarray,
-                      rel_tol: float = 1e-10) -> np.ndarray:
+def orthonormal_basis(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Orthonormal basis (in the weighted inner product) of the column span."""
     scaled = np.sqrt(weights)[:, None] * values
     u, s, _ = np.linalg.svd(scaled, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((values.shape[0], 0))
-    keep = s > rel_tol * s[0]
+    keep = s > _RANK_REL_TOL * s[0]
     return u[:, keep] / np.sqrt(weights)[:, None]
 
 
@@ -118,8 +124,7 @@ def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
     return np.clip(cos, 0.0, 1.0)
 
 
-def independent_columns(values: np.ndarray, weights: np.ndarray,
-                        rel_tol: float = 1e-10) -> list[int]:
+def independent_columns(values: np.ndarray, weights: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent subset of columns.
 
     Greedy left-to-right Gram-Schmidt in the weighted inner product: a
@@ -136,22 +141,21 @@ def independent_columns(values: np.ndarray, weights: np.ndarray,
         for b in basis:
             resid -= weighted_inner(resid, b, weights) * b
         norm_r = weighted_norm(resid, weights)
-        if norm_r > rel_tol * norm0:
+        if norm_r > _RANK_REL_TOL * norm0:
             kept.append(j)
             basis.append(resid / norm_r)
     return kept
 
 
-def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-12,
-                       max_iter: int = 300) -> float:
+def golden_section_min(fn, lo: float, hi: float) -> float:
     """Golden-section search for the minimizer of a unimodal function."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a < tol:
+    for _ in range(_GOLDEN_MAX_ITER):
+        if b - a < _GOLDEN_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc

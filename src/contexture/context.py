@@ -14,6 +14,10 @@ import numpy as np
 
 from ._linalg import nearest, sq_dists
 
+# largest |w - w^T| entry a graph adjacency may have
+GRAPH_SYMMETRY_ATOL = 1e-10
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Probability weights over a finite support.
@@ -165,64 +169,57 @@ def _rbf_conditional(points: np.ndarray, gamma: float) -> np.ndarray:
     return q_mat / q_mat.sum(axis=1, keepdims=True)
 
 
-def _base_conditional(points: np.ndarray, base: tuple[str, float]) -> np.ndarray:
-    kind, param = base
+def _base_conditional(points: np.ndarray, kind: str, param) -> np.ndarray:
+    """Raw conditional of a base kind, after checking its parameter.
+
+    ``knn`` takes k in [1, n - 1]; ``rbf`` takes a positive finite gamma.
+    """
+    n = points.shape[0]
     if kind == "knn":
+        if not 1 <= param <= n - 1:
+            raise ValueError(f"k must be in [1, {n - 1}], got {param}")
         return _knn_conditional(points, int(param))
     if kind == "rbf":
+        if not (param > 0 and np.isfinite(param)):
+            raise ValueError(f"gamma must be a positive real, got {param}")
         return _rbf_conditional(points, float(param))
     raise ValueError(f"unknown base builder {kind!r} (expected knn or rbf)")
 
 
-def _parse_base(base) -> tuple[str, float]:
-    if isinstance(base, str):
-        kind, _, param = base.partition(":")
-        if not param:
-            raise ValueError(f"base descriptor {base!r} needs a parameter")
-        return kind, float(param)
-    kind, param = base
-    return str(kind), float(param)
-
-
 # ---------------------------------------------------------------------------
-# public builders
+# public builders (every input marginal is uniform except the graph's)
 # ---------------------------------------------------------------------------
 
-def build_knn_context(points: PointSet, k: int,
-                      marginal: DiscreteDistribution | None = None) -> FiniteContext:
+def build_knn_context(points: PointSet, k: int) -> FiniteContext:
     """Uniform distribution over the k nearest neighbors of each point.
 
     Euclidean distance; a point is never its own neighbor; ties at the
     k-th distance are broken by ascending point index.
     """
-    n = points.n_points
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    marginal = marginal or DiscreteDistribution.uniform(n)
-    return FiniteContext(_knn_conditional(points.points, k), marginal,
+    return FiniteContext(_base_conditional(points.points, "knn", k),
+                         DiscreteDistribution.uniform(points.n_points),
                          label=f"knn:{k}", same_support=True)
 
 
-def build_rbf_context(points: PointSet, gamma: float,
-                      marginal: DiscreteDistribution | None = None) -> FiniteContext:
+def build_rbf_context(points: PointSet, gamma: float) -> FiniteContext:
     """Rows proportional to exp(-gamma * squared distance), self included."""
-    if not (gamma > 0 and np.isfinite(gamma)):
-        raise ValueError(f"gamma must be a positive real, got {gamma}")
-    marginal = marginal or DiscreteDistribution.uniform(points.n_points)
-    return FiniteContext(_rbf_conditional(points.points, gamma), marginal,
+    return FiniteContext(_base_conditional(points.points, "rbf", gamma),
+                         DiscreteDistribution.uniform(points.n_points),
                          label=f"rbf:{gamma:g}", same_support=True)
 
 
-def build_masked_context(points: PointSet, base, mask_fraction: float,
-                         n_masks: int, seed: int,
-                         marginal: DiscreteDistribution | None = None) -> FiniteContext:
+def build_masked_context(points: PointSet, base: tuple[str, float],
+                         mask_fraction: float, n_masks: int,
+                         seed: int) -> FiniteContext:
     """Average of base contexts built on random surviving feature subsets.
 
-    Each mask removes ``round(mask_fraction * p)`` features drawn without
-    replacement; masks are drawn independently of each other, so a feature
-    may be masked in several of them. Deterministic in ``seed``.
+    ``base`` is a ``(kind, param)`` pair checked as the plain builder of
+    that kind checks it. Each mask removes ``round(mask_fraction * p)``
+    features drawn without replacement; masks are drawn independently of
+    each other, so a feature may be masked in several of them.
+    Deterministic in ``seed``.
     """
-    base = _parse_base(base)
+    kind, param = base
     if n_masks < 1:
         raise ValueError("n_masks must be at least 1")
     p = points.n_features
@@ -240,15 +237,13 @@ def build_masked_context(points: PointSet, base, mask_fraction: float,
         else:
             keep = np.setdiff1d(np.arange(p), masked)
             surviving = np.ascontiguousarray(points.points[:, keep])
-        accum += _base_conditional(surviving, base)
-    marginal = marginal or DiscreteDistribution.uniform(n)
-    label = f"{base[0]}+mask:{base[1]:g}:{mask_fraction:g}:{n_masks}"
-    return FiniteContext(accum / n_masks, marginal, label=label,
-                         same_support=True)
+        accum += _base_conditional(surviving, kind, param)
+    label = f"{kind}+mask:{param:g}:{mask_fraction:g}:{n_masks}"
+    return FiniteContext(accum / n_masks, DiscreteDistribution.uniform(n),
+                         label=label, same_support=True)
 
 
-def build_label_context(labels: np.ndarray,
-                        marginal: DiscreteDistribution | None = None) -> FiniteContext:
+def build_label_context(labels: np.ndarray) -> FiniteContext:
     """Deterministic class-label context: one-hot rows over the classes."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 2:
@@ -259,12 +254,11 @@ def build_label_context(labels: np.ndarray,
     n = labels.size
     q_mat = np.zeros((n, classes.size))
     q_mat[np.arange(n), codes] = 1.0
-    marginal = marginal or DiscreteDistribution.uniform(n)
-    return FiniteContext(q_mat, marginal, label="label", same_support=False)
+    return FiniteContext(q_mat, DiscreteDistribution.uniform(n), label="label",
+                         same_support=False)
 
 
-def build_graph_context(adjacency: np.ndarray,
-                        sym_atol: float = 1e-10) -> FiniteContext:
+def build_graph_context(adjacency: np.ndarray) -> FiniteContext:
     """Random-walk context of a weighted undirected graph.
 
     The input marginal is the degree distribution, and each row is the
@@ -277,8 +271,9 @@ def build_graph_context(adjacency: np.ndarray,
         raise ValueError("adjacency must be finite")
     if np.any(w < 0):
         raise ValueError("adjacency weights must be non-negative")
-    if np.max(np.abs(w - w.T)) > sym_atol:
-        raise ValueError(f"adjacency must be symmetric within {sym_atol}")
+    if np.max(np.abs(w - w.T)) > GRAPH_SYMMETRY_ATOL:
+        raise ValueError(
+            f"adjacency must be symmetric within {GRAPH_SYMMETRY_ATOL}")
     w = 0.5 * (w + w.T)
     degrees = w.sum(axis=1)
     if np.any(degrees <= 0):
@@ -322,7 +317,6 @@ def parse_descriptor(descriptor: str) -> dict:
 
 
 def build_from_descriptor(descriptor: str, points: PointSet | None = None,
-                          marginal: DiscreteDistribution | None = None,
                           seed: int = 0) -> FiniteContext:
     """Build the context a descriptor string names."""
     spec = parse_descriptor(descriptor)
@@ -333,19 +327,19 @@ def build_from_descriptor(descriptor: str, points: PointSet | None = None,
     if points is None:
         raise ValueError(f"descriptor {descriptor!r} needs a point set")
     if kind == "knn":
-        return build_knn_context(points, spec["k"], marginal)
+        return build_knn_context(points, spec["k"])
     if kind == "rbf":
-        return build_rbf_context(points, spec["gamma"], marginal)
+        return build_rbf_context(points, spec["gamma"])
     if kind == "knn+mask":
         return build_masked_context(points, ("knn", spec["k"]),
                                     spec["mask_fraction"], spec["n_masks"],
-                                    seed, marginal)
+                                    seed)
     if kind == "rbf+mask":
         return build_masked_context(points, ("rbf", spec["gamma"]),
                                     spec["mask_fraction"], spec["n_masks"],
-                                    seed, marginal)
+                                    seed)
     if kind == "label":
         if points.labels is None:
             raise ValueError("label context needs a labeled point set")
-        return build_label_context(points.labels, marginal)
+        return build_label_context(points.labels)
     raise ValueError(f"unrecognized context descriptor {descriptor!r}")

@@ -5,7 +5,6 @@ statistics between representations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -16,7 +15,7 @@ from ._linalg import (golden_section_min, independent_columns, nearest,
 from .context import DiscreteDistribution, FiniteContext, PointSet
 from .errors import NumericalError
 from .estimation import estimate_covariances
-from .objectives import SampleEncoder
+from .objectives import SampleEncoder, _LeastSquaresForm, _ls_value_and_grad
 from .spectral import ContextureSpectrum, dual_kernel
 
 ACTIVE_TOL = 1e-8
@@ -155,17 +154,9 @@ def approx_err(enc: SampleEncoder, f: TaskFunction) -> float:
     """Best affine fit residual of the task on the encoder columns."""
     if enc.values.shape[0] != f.values.size:
         raise ValueError("encoder and task must share a support")
-    w = f.marginal.weights
-    design = np.concatenate([enc.values, np.ones((enc.values.shape[0], 1))],
-                            axis=1)
-    sw = np.sqrt(w)
-    coef, _, rank, _ = np.linalg.lstsq(sw[:, None] * design, sw * f.values,
-                                       rcond=None)
-    if rank < design.shape[1]:
-        warnings.warn("rank-deficient probe design; pseudo-inverse used",
-                      RuntimeWarning, stacklevel=2)
-    resid = design @ coef - f.values
-    return float(w @ resid ** 2)
+    form = _LeastSquaresForm(f.marginal.weights, f.values[:, None],
+                             intercept=True, offset=0.0)
+    return _ls_value_and_grad(form, enc.values, want_grad=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -98,19 +98,20 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"config {path} is missing {key!r}")
 
     def split_list(key):
-        return [tok.strip() for tok in sec.get(key, "").split(",") if tok.strip()]
+        return [tok.strip() for tok in sec[key].split(",") if tok.strip()]
 
-    return ExperimentConfig(
-        dataset_path=sec.get("dataset_path"),
-        target_column=sec.get("target_column"),
-        split_fractions=tuple(float(v) for v in split_list("split_fractions")) or (0.7, 0.15, 0.15),
-        context_grid=split_list("context_grid"),
-        d0=sec.getint("d0", 64),
-        beta=sec.getfloat("beta", 1.0),
-        ridge_grid=[float(v) for v in split_list("ridge_grid")],
-        d_grid=[int(v) for v in split_list("d_grid")],
-        seed=sec.getint("seed", 0),
-    )
+    fields = {"dataset_path": sec["dataset_path"],
+              "target_column": sec["target_column"],
+              "context_grid": split_list("context_grid"),
+              "ridge_grid": [float(v) for v in split_list("ridge_grid")],
+              "d_grid": [int(v) for v in split_list("d_grid")]}
+    # optional keys: an absent one keeps the ExperimentConfig default
+    optional = {"d0": sec.getint, "beta": sec.getfloat, "seed": sec.getint,
+                "split_fractions": lambda key: tuple(
+                    float(v) for v in split_list(key))}
+    fields.update({key: parse(key) for key, parse in optional.items()
+                   if key in sec})
+    return ExperimentConfig(**fields)
 
 
 def default_context_grid(n_pretrain: int, per_family: int = 35) -> list[str]:
@@ -331,9 +332,13 @@ def write_report(report: dict, path, fmt: str = "json") -> None:
         raise ValueError(f"format must be json or csv, got {fmt!r}")
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
 

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import (fix_signs, sym_inv_sqrt, weighted_center,
-                      weighted_cov, weighted_mean)
+from ._linalg import (fix_signs, weighted_center, weighted_cov,
+                      weighted_mean, whiten_columns)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError
 from .spectral import contexture_svd, operator_matrices
@@ -93,8 +93,8 @@ class SampleEncoder:
     """Encoder values tabulated on a finite support.
 
     ``support`` is ``"input"`` or ``"context"``; ``marginal`` is the
-    weighting distribution of that support. Mean, centered values, and
-    covariance are cached on first access.
+    weighting distribution of that support. Mean and centered values are
+    cached on first access.
     """
 
     def __init__(self, values: np.ndarray, support: str,
@@ -115,7 +115,6 @@ class SampleEncoder:
         self.marginal = marginal
         self._mean = None
         self._centered = None
-        self._cov = None
 
     @property
     def d(self) -> int:
@@ -130,13 +129,6 @@ class SampleEncoder:
         if self._centered is None:
             self._centered = self.values - self.mean()
         return self._centered
-
-    def cov(self) -> np.ndarray:
-        if self._cov is None:
-            w = self.marginal.weights
-            c = self.centered()
-            self._cov = c.T @ (w[:, None] * c)
-        return self._cov
 
 
 @dataclass(frozen=True)
@@ -463,10 +455,7 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     value_grad = _population_loss(objective, ctx, aux)
 
     def project(v):
-        if form.constrained:
-            return weighted_center(v, weights) @ sym_inv_sqrt(
-                weighted_cov(v, weights))
-        return v
+        return whiten_columns(v, weights) if form.constrained else v
 
     current = project(rng.standard_normal((size, d)))
     value = value_grad(current, False)[0]

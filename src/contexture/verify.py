@@ -28,20 +28,22 @@ from .objectives import (_FORMS, LossKernelKind, ObjectiveKind,
 from .spectral import (ContextureSpectrum, OperatorMatrices, contexture_svd,
                        dual_kernel, operator_matrices, reconstruct_joint)
 
+# ``nondegenerate_context``: required relative spectral gap, and draws
+MIN_GAP = 0.03
+TRIES = 200
+# points of the brute-force grid in ``worstcase_residuals``
+WORSTCASE_GRID = 20001
+
 
 # ---------------------------------------------------------------------------
 # random context factories (shared by the verification suite and tests)
 # ---------------------------------------------------------------------------
 
 def random_dense_context(rng: np.random.Generator, n: int, m: int,
-                         concentration: float = 0.6,
-                         uniform_marginal: bool = False) -> FiniteContext:
-    """Random strictly positive context with Dirichlet rows."""
+                         concentration: float = 0.6) -> FiniteContext:
+    """Random strictly positive context: Dirichlet rows and marginal."""
     rows = rng.dirichlet(np.full(m, concentration), size=n)
-    if uniform_marginal:
-        marginal = DiscreteDistribution.uniform(n)
-    else:
-        marginal = DiscreteDistribution(rng.dirichlet(np.full(n, 5.0)))
+    marginal = DiscreteDistribution(rng.dirichlet(np.full(n, 5.0)))
     return FiniteContext(rows, marginal, label="random", same_support=(n == m))
 
 
@@ -88,12 +90,13 @@ def random_invertible(rng: np.random.Generator, d: int,
 
 
 def nondegenerate_context(rng: np.random.Generator, objective, n: int, m: int,
-                          d: int, min_gap: float = 0.03, tries: int = 200):
+                          d: int):
     """Random context (plus aux vectors) whose relevant operator spectrum
-    has a clear gap after position d, so span comparisons are well posed."""
+    has a relative gap of at least ``MIN_GAP`` after position d, so span
+    comparisons are well posed; raises after ``TRIES`` draws."""
     objective = ObjectiveKind(objective)
     form = _FORMS[objective]
-    for _ in range(tries):
+    for _ in range(TRIES):
         if objective is ObjectiveKind.NODE_EMBEDDING:
             ctx = random_graph_context(rng, n)
         elif objective is ObjectiveKind.SUPERVISED_BALANCED:
@@ -109,11 +112,11 @@ def nondegenerate_context(rng: np.random.Generator, objective, n: int, m: int,
         if evals.size <= d or evals[0] <= 0:
             continue
         rel = evals / evals[0]
-        if rel[d - 1] - rel[d] >= min_gap and rel[d - 1] >= min_gap:
+        if rel[d - 1] - rel[d] >= MIN_GAP and rel[d - 1] >= MIN_GAP:
             return ctx, aux
     raise NumericalError(
         f"no non-degenerate context found for {objective.value} "
-        f"after {tries} tries")
+        f"after {TRIES} tries")
 
 
 def _perturbation_context(rng, n, m, delta=1e-3) -> FiniteContext:
@@ -148,12 +151,12 @@ def _duality_residual(spec: ContextureSpectrum, op: OperatorMatrices) -> float:
     return worst
 
 
-def equivalence_residuals(objective, rng, n, m, d, opts=None, min_gap=0.03):
+def equivalence_residuals(objective, rng, n, m, d):
     """(span residual, objective-value residual) between the variational
     and spectral solutions of one objective on a random context."""
     objective = ObjectiveKind(objective)
-    ctx, aux = nondegenerate_context(rng, objective, n, m, d, min_gap=min_gap)
-    opts = opts or VariationalOptions(seed=int(rng.integers(2 ** 31)))
+    ctx, aux = nondegenerate_context(rng, objective, n, m, d)
+    opts = VariationalOptions(seed=int(rng.integers(2 ** 31)))
     enc_s = solve_spectral(objective, ctx, d, aux)
     enc_v = solve_variational(objective, ctx, d, opts, aux)
     val_s = eval_objective(objective, ctx, enc_s, aux)
@@ -165,7 +168,7 @@ def equivalence_residuals(objective, rng, n, m, d, opts=None, min_gap=0.03):
     return span_residual, abs(val_v - val_s)
 
 
-def worstcase_residuals(rng, n, m, d=1, n_encoders=100, grid=20001):
+def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
     """Residuals for the worst-case error formula.
 
     Returns (formula vs two-mode brute force, max shortfall of the
@@ -185,7 +188,7 @@ def worstcase_residuals(rng, n, m, d=1, n_encoders=100, grid=20001):
 
     # two-mode family: mass b on mode d+1, constrained to compatibility >= 1-eps
     s_next = float(s[d]) if d < s.size else 0.0
-    b_grid = np.linspace(0.0, 1.0, grid)
+    b_grid = np.linspace(0.0, 1.0, WORSTCASE_GRID)
     rho_sq = s1 ** 2 * (1 - b_grid) + s_next ** 2 * b_grid
     feasible = b_grid[rho_sq >= (1.0 - eps) ** 2]
     brute = float(np.max(feasible)) if feasible.size else 0.0

@@ -161,6 +161,19 @@ class TestMasked:
         ctx = build_masked_context(pts, ("knn", 2), 0.3, 5, seed=9)
         assert np.max(np.abs(ctx.conditional.sum(axis=1) - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("base", [("knn", 0), ("knn", 6), ("rbf", 0.0),
+                                      ("rbf", -1.0), ("rbf", np.inf)],
+                             ids=["k=0", "k=n", "gamma=0", "gamma=-1",
+                                  "gamma=inf"])
+    def test_base_checked_like_plain_builder(self, base):
+        pts = PointSet(np.random.default_rng(6).normal(size=(6, 5)))
+        plain = {"knn": build_knn_context, "rbf": build_rbf_context}[base[0]]
+        with pytest.raises(ValueError) as expected:
+            plain(pts, base[1])
+        with pytest.raises(ValueError) as raised:
+            build_masked_context(pts, base, 0.2, 3, seed=0)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestLabel:
     def test_two_balanced_classes(self):

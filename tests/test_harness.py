@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -135,6 +136,21 @@ class TestConfig:
         assert cfg.d_grid == [1, 2, 4]
         assert cfg.seed == 3
 
+    def test_absent_keys_keep_dataclass_defaults(self, tmp_path):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            "[experiment]\n"
+            "dataset_path = data/waves.csv\n"
+            "target_column = y\n"
+            "context_grid = rbf:0.5\n"
+            "ridge_grid = 1e-3\n"
+            "d_grid = 1\n")
+        cfg = load_config(cfg_path)
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                    if f.default is not dataclasses.MISSING}
+        assert set(defaults) == {"split_fractions", "d0", "beta", "seed"}
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
+
     def test_fractions_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ExperimentConfig(dataset_path="x", target_column="y",
@@ -177,6 +193,13 @@ class TestWriteReport:
         write_report(report, path, fmt="csv")
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 4  # header + one row per context
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.mkdir()
+        with pytest.raises(OSError, match="failed writing report"):
+            write_report({"summary": {}}, target)
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_concurrent_distinct_paths(self, tmp_path):
         import threading
@@ -225,13 +248,13 @@ class TestRunExperiment:
         make_waves(path, n=60)
         cfg = ExperimentConfig(
             dataset_path=str(path), target_column="y",
-            context_grid=["rbf:0.5", "knn:5000"],  # second descriptor fails
+            context_grid=["rbf:0.5", "knn:5000", "knn+mask:0:0.2:3", "knn:3"],
             ridge_grid=[1e-3], d_grid=[1, 2], d0=8, seed=0)
         report = run_experiment(cfg)
-        assert len(report["failures"]) == 1
-        assert report["failures"][0]["descriptor"] == "knn:5000"
-        assert report["failures"][0]["type"] == "ValueError"
-        assert len(report["per_context"]) == 1
+        assert [(f["descriptor"], f["type"]) for f in report["failures"]] == [
+            ("knn:5000", "ValueError"), ("knn+mask:0:0.2:3", "ValueError")]
+        assert [e["descriptor"] for e in report["per_context"]] == [
+            "rbf:0.5", "knn:3"]
 
     def test_resource_errors_propagate(self, tmp_path, monkeypatch):
         import contexture.harness as harness_mod

@@ -8,7 +8,8 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         cca_alignment, contexture_svd, eval_objective,
                         load_encoder, loss_kernel_matrix, save_encoder,
                         solve_spectral, solve_variational)
-from contexture._linalg import principal_angle_cosines, weighted_norm
+from contexture._linalg import (principal_angle_cosines, weighted_cov,
+                                weighted_norm)
 from contexture.objectives import _FORMS, LossKernelKind, ObjectiveKind
 
 
@@ -212,7 +213,8 @@ class TestSampleEncoderCaches:
         assert np.allclose(enc.mean(), [2.25])
         assert np.allclose(enc.centered()[:, 0], [-1.25, -0.25, 0.75])
         expected_var = 0.25 * 1.25 ** 2 + 0.25 * 0.25 ** 2 + 0.5 * 0.75 ** 2
-        assert np.allclose(enc.cov(), [[expected_var]])
+        assert np.allclose(weighted_cov(enc.values, marg.weights),
+                           [[expected_var]])
 
     def test_validation(self):
         marg = DiscreteDistribution.uniform(2)
