@@ -5,6 +5,7 @@ metric-versus-error correlations.
 Usage: python scripts/run_sweep.py DATASET.csv TARGET_COLUMN [OUT.json]
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,16 +21,19 @@ def main() -> int:
     out = Path(sys.argv[3]) if len(sys.argv) > 3 else None
 
     points, _ = load_dataset(dataset, target)
-    n_pre = len(split_dataset(points.n_points, (0.7, 0.15, 0.15), 0)[0])
+    # the neighbour counts of the grid stop at the pretrain size, which the
+    # config's split decides: build the config, then size its grid by that
     config = ExperimentConfig(
         dataset_path=dataset,
         target_column=target,
-        context_grid=default_context_grid(n_pre, per_family=18),
+        context_grid=default_context_grid(points.n_points, per_family=18),
         ridge_grid=[1e-6, 1e-4, 1e-2, 1.0],
         d_grid=[1, 2, 4, 8, 16, 32],
         d0=64,
-        seed=0,
     )
+    n_pre = len(split_dataset(points.n_points, config.split_fractions, config.seed)[0])
+    config = dataclasses.replace(
+        config, context_grid=default_context_grid(n_pre, per_family=18))
     report = run_experiment(config)
     summary = report["summary"]
     print(f"{len(report['per_context'])} contexts evaluated, "

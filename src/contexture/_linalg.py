@@ -37,8 +37,27 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k nearest column indices; ties go to the lower index."""
-    return np.argsort(dists, axis=1, kind="stable")[:, :k]
+    """Each row's k nearest column indices; ties go to the lower index.
+
+    Selects by partition rather than a full sort: ``np.argpartition`` picks
+    k columns per row and they are ordered by (distance, index); only a row
+    whose k-th distance recurs outside the pick is redone by a stable sort.
+    The result equals the first k columns of a stable argsort.
+    """
+    m = dists.shape[1]
+    if not 1 <= k <= m:
+        raise ValueError(f"k must be in [1, {m}], got {k}")
+    picked = np.argpartition(dists, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(dists, picked[:, k - 1:], axis=1)
+    # more than k entries not above the k-th distance: a tie at the boundary
+    tied = np.count_nonzero(dists > kth, axis=1) < m - k
+    picked = np.sort(picked, axis=1)
+    order = np.argsort(np.take_along_axis(dists, picked, axis=1), axis=1,
+                       kind="stable")
+    out = np.take_along_axis(picked, order, axis=1)
+    if tied.any():
+        out[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+    return out
 
 
 def fix_signs(columns: np.ndarray, *paired: np.ndarray) -> None:

@@ -19,6 +19,9 @@ from .objectives import SampleEncoder, _LeastSquaresForm, _ls_value_and_grad
 from .spectral import ContextureSpectrum, dual_kernel
 
 ACTIVE_TOL = 1e-8
+# sampled points per side of a tile in the Lipschitz scan: a tile's
+# difference block (_GAP_BLOCK^2 x sample size) stays in cache
+_GAP_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -271,32 +274,46 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
     Returns ``(deviation, lipschitz)``: the marginal-weighted expected
     absolute deviation of the kernel from 1, and the maximum difference
     quotient over sampled index triples (coincident pairs skipped; the
-    sample is a deterministic index stride).
+    sample is a deterministic index stride of at least 2 points).
     """
     kernel = np.asarray(kernel, dtype=float)
     n = kernel.shape[0]
     w = marginal.weights
     deviation = float(w @ np.abs(kernel - 1.0) @ w)
 
+    if lipschitz_sample < 2:
+        raise ValueError("lipschitz_sample must be at least 2 to form a pair, "
+                         f"got {lipschitz_sample}")
     if lipschitz_sample > n:
         raise ValueError("lipschitz_sample must not exceed the support size")
     if lipschitz_sample == n:
         idx = np.arange(n)
     else:
         idx = np.unique(np.round(np.linspace(0, n - 1, lipschitz_sample)).astype(int))
+    # row a holds kernel column a, so the gap between points a and b is the
+    # max-abs distance between rows a and b; scanned in strips of anchors
+    # against every later point, each strip filled tile by tile
+    cols = kernel.T[np.ix_(idx, idx)]
     pts = points.points[idx]
-    sub = kernel[np.ix_(idx, idx)]
+    size = len(idx)
+    tile = np.empty((_GAP_BLOCK, _GAP_BLOCK, size))
     best = 0.0
     found_distinct = False
-    for a in range(len(idx) - 1):
-        diffs = pts[a + 1:] - pts[a]
-        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        ok = dists > 0
-        if not np.any(ok):
+    for a0 in range(0, size, _GAP_BLOCK):
+        anchors = cols[a0:a0 + _GAP_BLOCK, None, :]
+        gaps = np.empty((anchors.shape[0], size - a0))
+        for b0 in range(a0, size, _GAP_BLOCK):
+            others = cols[None, b0:b0 + _GAP_BLOCK, :]
+            diff = tile[:anchors.shape[0], :others.shape[1]]
+            np.subtract(anchors, others, out=diff)
+            np.abs(diff, out=diff)
+            np.max(diff, axis=2, out=gaps[:, b0 - a0:b0 - a0 + _GAP_BLOCK])
+        dists = np.sqrt(sq_dists(pts[a0:a0 + _GAP_BLOCK], pts[a0:]))
+        pairs = np.triu(dists > 0, 1)  # later points only, coincident skipped
+        if not pairs.any():
             continue
         found_distinct = True
-        gaps = np.max(np.abs(sub[:, a + 1:] - sub[:, [a]]), axis=0)
-        best = max(best, float(np.max(gaps[ok] / dists[ok])))
+        best = max(best, float(np.max(gaps[pairs] / dists[pairs])))
     if not found_distinct:
         raise ValueError("all sampled points coincide; Lipschitz estimate undefined")
     return deviation, best

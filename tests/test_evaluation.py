@@ -256,6 +256,14 @@ class TestAssociationMeasures:
                     best = max(best, abs(kernel[k, i] - kernel[k, j]) / dist)
         assert abs(lips - best) < 1e-12
 
+    @pytest.mark.parametrize("sample", [0, 1])
+    def test_sample_below_a_pair_rejected(self, sample):
+        pts = PointSet(np.arange(3.0)[:, None])
+        with pytest.raises(ValueError, match=f"at least 2.*got {sample}"):
+            kernel_association_measures(np.ones((3, 3)), pts,
+                                        DiscreteDistribution.uniform(3),
+                                        lipschitz_sample=sample)
+
     def test_coincident_points_rejected(self):
         pts = PointSet(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="coincide"):

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from contexture import DiscreteDistribution, PointSet, kernel_association_measures
 from contexture._linalg import _DIST_BLOCK_ROWS, fix_signs, nearest, sq_dists
+from contexture.evaluation import _GAP_BLOCK
 from contexture.harness import extend_encoder
 
 
@@ -42,6 +47,83 @@ def test_nearest_breaks_ties_by_ascending_index(n, p, seed, data):
     for i in range(n):
         oracle = sorted(range(n), key=lambda j: (dists[i, j], j))[:k]
         assert got[i].tolist() == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_rows=st.integers(1, 12), n_cols=st.integers(1, 300),
+       levels=st.sampled_from([2, 3, 5, None]), inf_diagonal=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_nearest_equals_stable_argsort_for_every_k(n_rows, n_cols, levels,
+                                                    inf_diagonal, seed):
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        dists = rng.exponential(size=(n_rows, n_cols))
+    else:  # few distinct values: ties straddle the k-th column for most k
+        dists = rng.integers(0, levels, size=(n_rows, n_cols)).astype(float)
+    if inf_diagonal:
+        diag = np.arange(min(n_rows, n_cols))
+        dists[diag, diag] = np.inf
+    oracle = np.argsort(dists, axis=1, kind="stable")
+    for k in range(1, n_cols + 1):
+        assert np.array_equal(nearest(dists, k), oracle[:, :k])
+
+
+@pytest.mark.parametrize("k", [0, -1, 6])
+def test_nearest_rejects_k_outside_the_columns(k):
+    with pytest.raises(ValueError, match=r"k must be in \[1, 5\]"):
+        nearest(np.ones((3, 5)), k)
+
+
+def test_extend_encoder_rejects_k_zero_without_a_warning():
+    train = np.arange(8.0).reshape(4, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k must be in"):
+            extend_encoder(train, np.ones((4, 3)), train[:2], k=0)
+
+
+def per_row_lipschitz(kernel, points, lipschitz_sample):
+    """The difference-quotient maximum as a per-anchor loop over rows."""
+    n = kernel.shape[0]
+    if lipschitz_sample == n:
+        idx = np.arange(n)
+    else:
+        idx = np.unique(np.round(np.linspace(0, n - 1, lipschitz_sample)).astype(int))
+    pts = points[idx]
+    sub = kernel[np.ix_(idx, idx)]
+    best = 0.0
+    found_distinct = False
+    for a in range(len(idx) - 1):
+        diffs = pts[a + 1:] - pts[a]
+        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        ok = dists > 0
+        if not np.any(ok):
+            continue
+        found_distinct = True
+        gaps = np.max(np.abs(sub[:, a + 1:] - sub[:, [a]]), axis=0)
+        best = max(best, float(np.max(gaps[ok] / dists[ok])))
+    return best if found_distinct else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample=st.sampled_from([2, _GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1,
+                               2 * _GAP_BLOCK + 3]),
+       extra=st.integers(0, 9), p=st.integers(1, 3),
+       n_duplicates=st.integers(0, 6), seed=st.integers(0, 2 ** 31 - 1))
+def test_lipschitz_equals_per_row_loop(sample, extra, p, n_duplicates, seed):
+    rng = np.random.default_rng(seed)
+    n = sample + extra
+    pts = grid_points(rng, n, p, levels=4)
+    # coincident pairs on top of the grid's own duplicates
+    pts[rng.integers(0, n, n_duplicates)] = pts[rng.integers(0, n, n_duplicates)]
+    kernel = rng.standard_normal((n, n)) * rng.uniform(0.01, 100.0)
+    expected = per_row_lipschitz(kernel, pts, sample)
+    args = (kernel, PointSet(pts), DiscreteDistribution.uniform(n), sample)
+    if expected is None:
+        with pytest.raises(ValueError, match="coincide"):
+            kernel_association_measures(*args)
+    else:
+        assert kernel_association_measures(*args)[1] == expected
 
 
 @settings(max_examples=30, deadline=None)
