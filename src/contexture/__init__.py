@@ -27,9 +27,8 @@ from .objectives import (LossKernelKind, ObjectiveKind, SampleEncoder,
                          load_encoder, loss_kernel_matrix,
                          operator_eigenvalues, save_encoder, solve_spectral,
                          solve_variational)
-from .spectral import (ContextureSpectrum, OperatorMatrices, apply_operator,
-                       contexture_svd, dual_kernel, load_spectrum,
-                       operator_matrices, positive_pair_kernel,
+from .spectral import (ContextureSpectrum, adjoint_matrix, contexture_svd,
+                       dual_kernel, load_spectrum, positive_pair_kernel,
                        reconstruct_joint, save_spectrum)
 from .verify import verify_theorems
 

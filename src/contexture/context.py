@@ -223,6 +223,8 @@ def build_masked_context(points: PointSet, base: tuple[str, float],
     if n_masks < 1:
         raise ValueError("n_masks must be at least 1")
     p = points.n_features
+    if not 0 <= mask_fraction < 1:
+        raise ValueError(f"mask_fraction must be in [0, 1), got {mask_fraction}")
     n_masked = int(round(mask_fraction * p))
     if n_masked >= p:
         raise ValueError(

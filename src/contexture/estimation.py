@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import fix_signs, sym_inv_sqrt, weighted_cov, weighted_norm
 from .context import DiscreteDistribution, FiniteContext
 from .objectives import SampleEncoder
-from .spectral import operator_matrices
+from .spectral import adjoint_matrix
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     # roundoff asymmetry grows with scale, past CovariancePair's 1e-10 check
     c_phi = weighted_cov(enc.values, ctx.input_marginal.weights)
     c_phi = 0.5 * (c_phi + c_phi.T)
-    adj = operator_matrices(ctx).adjoint
+    adj = adjoint_matrix(ctx)
     if mode == "exact":
         pushed = adj @ centered
         b_phi = pushed.T @ (ctx.context_marginal.weights[:, None] * pushed)
@@ -102,10 +102,11 @@ def estimate_spectrum_posthoc(enc: SampleEncoder, cov: CovariancePair,
     reg = cov.c_phi + 1e-10 * np.trace(cov.c_phi) * np.eye(d)
     half = sym_inv_sqrt(reg)
     core = half @ cov.b_phi @ half
+    # eigh returns ascending eigenvalues, so the top ones are the last reversed
     evals, evecs = np.linalg.eigh(0.5 * (core + core.T))
-    order = np.argsort(evals, kind="stable")[::-1][:top]
-    eigenvalues = evals[order]
-    directions = half @ evecs[:, order]
+    eigenvalues = evals[::-1][:top]
+    # Fortran order: BLAS products round differently by memory layout
+    directions = half @ np.asfortranarray(evecs[:, ::-1][:, :top])
     funcs = enc.centered() @ directions
     w = enc.marginal.weights
     for j in range(funcs.shape[1]):

@@ -92,9 +92,6 @@ class UsefulnessReport:
         data["tau_curve"] = np.asarray(self.tau_curve).tolist()
         return data
 
-    def save_tau_curve_csv(self, path) -> None:
-        save_tau_curve_csv(self.tau_curve, path)
-
 
 def save_tau_curve_csv(tau_curve, path) -> None:
     """Write the (d, tau_d) curve as CSV, d counted from 1."""
@@ -196,7 +193,7 @@ def fit_linear_probe(train, test, ridge_grid, seed: int = 0) -> ProbeResult:
     grid = [float(g) for g in ridge_grid]
     if not grid:
         raise ValueError("ridge grid must be nonempty")
-    if any(g <= 0 for g in grid):
+    if not all(g > 0 for g in grid):
         raise ValueError("ridge penalties must be positive")
 
     order = np.random.default_rng(seed).permutation(x_train.shape[0])
@@ -231,7 +228,7 @@ def usefulness_metric(singular_values, d0: int, beta: float) -> TauFragment:
     """
     if d0 < 1:
         raise ValueError("d0 must be at least 1")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be positive")
     s = np.clip(np.asarray(singular_values, dtype=float), 0.0, 1.0)
     sq = np.zeros(d0 + 1)

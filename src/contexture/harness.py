@@ -53,7 +53,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         fr = tuple(float(f) for f in self.split_fractions)
-        if len(fr) != 3 or any(f <= 0 for f in fr):
+        if len(fr) != 3 or not all(f > 0 for f in fr):
             raise ValueError("split fractions must be three positive reals")
         if abs(sum(fr) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1 within 1e-9")

@@ -28,7 +28,7 @@ from ._linalg import (fix_signs, weighted_center, weighted_cov,
                       weighted_mean, whiten_columns)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError
-from .spectral import contexture_svd, operator_matrices
+from .spectral import adjoint_matrix, contexture_svd
 
 CONSTRAINT_ATOL = 1e-6
 
@@ -211,10 +211,10 @@ def _top_weighted_eigenfunctions(op_core: np.ndarray, weights: np.ndarray,
     orthonormal under the weighting distribution, descending eigenvalues.
     """
     sym = 0.5 * (op_core + op_core.T)
-    evals, evecs = np.linalg.eigh(sym)
-    order = np.argsort(evals, kind="stable")[::-1]
+    # eigh returns ascending eigenvalues, so the top d are the last d reversed
+    _, evecs = np.linalg.eigh(sym)
     # C order: downstream BLAS products round differently by memory layout
-    top = np.ascontiguousarray(evecs[:, order[:d]] / np.sqrt(weights)[:, None])
+    top = np.ascontiguousarray(evecs[:, ::-1][:, :d] / np.sqrt(weights)[:, None])
     fix_signs(top)
     return top
 
@@ -322,7 +322,7 @@ def _least_squares_form(objective: ObjectiveKind, ctx: FiniteContext,
     # conditional expectation of the vectors on the encoder support
     form = _FORMS[objective]
     expect, rows, cols = ((ctx.conditional, p, q) if form.support == "input"
-                          else (operator_matrices(ctx).adjoint, q, p))
+                          else (adjoint_matrix(ctx), q, p))
     targets = expect @ vectors
     offset = float(cols @ np.sum(vectors ** 2, axis=1)
                    - rows @ np.sum(targets ** 2, axis=1))

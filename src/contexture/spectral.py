@@ -1,10 +1,12 @@
 """Expectation operator, induced kernels, and the measure-weighted SVD.
 
-The conditional matrix of a finite context acts as an operator taking
-functions on the context support to their conditional expectations on the
-input support. Its singular functions under the marginal-weighted inner
-products carry the representation-learning content of the context; the
-top nontrivial left functions are the target every objective in
+A finite context's conditional matrix ``FiniteContext.conditional`` is the
+expectation operator: it takes functions on the context support to their
+conditional expectations on the input support. ``adjoint_matrix`` forms
+its Bayes-rule adjoint, the one place ``P(x | a)`` is built. The singular
+functions under the marginal-weighted inner products carry the
+representation-learning content of the context; the top nontrivial left
+functions are the target every objective in
 :mod:`contexture.objectives` recovers.
 """
 
@@ -19,18 +21,6 @@ from ._linalg import fix_signs
 from .context import DiscreteDistribution, FiniteContext
 
 CLAMP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class OperatorMatrices:
-    """Forward conditional matrix and its Bayes-rule adjoint.
-
-    ``forward[x, a] = P(a | x)`` and ``adjoint[a, x] = P(x | a)``; both are
-    row-stochastic.
-    """
-
-    forward: np.ndarray
-    adjoint: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,26 +72,15 @@ class ContextureSpectrum:
         )
 
 
-def operator_matrices(ctx: FiniteContext) -> OperatorMatrices:
-    """Assemble the expectation operator and its adjoint as dense matrices."""
+def adjoint_matrix(ctx: FiniteContext) -> np.ndarray:
+    """Bayes-rule adjoint of the expectation operator, ``[a, x] = P(x | a)``.
+
+    Row-stochastic, like the forward operator ``ctx.conditional``
+    (``[x, a] = P(a | x)``).
+    """
     p = ctx.input_marginal.weights
     q = ctx.context_marginal.weights
-    adjoint = (ctx.conditional * p[:, None]).T / q[:, None]
-    return OperatorMatrices(forward=ctx.conditional.copy(), adjoint=adjoint)
-
-
-def apply_operator(op: OperatorMatrices, direction: str, g: np.ndarray) -> np.ndarray:
-    """Apply the forward operator (context -> input) or its adjoint."""
-    g = np.asarray(g, dtype=float)
-    if direction == "forward":
-        if g.shape[0] != op.forward.shape[1]:
-            raise ValueError("forward direction expects a context-support vector")
-        return op.forward @ g
-    if direction == "adjoint":
-        if g.shape[0] != op.adjoint.shape[1]:
-            raise ValueError("adjoint direction expects an input-support vector")
-        return op.adjoint @ g
-    raise ValueError(f"direction must be 'forward' or 'adjoint', got {direction!r}")
+    return (ctx.conditional * p[:, None]).T / q[:, None]
 
 
 def dual_kernel(ctx: FiniteContext) -> np.ndarray:
@@ -117,7 +96,7 @@ def dual_kernel(ctx: FiniteContext) -> np.ndarray:
 def positive_pair_kernel(ctx: FiniteContext) -> np.ndarray:
     """Density ratio kernel on the context support (two views of one input)."""
     p = ctx.input_marginal.weights
-    adj = operator_matrices(ctx).adjoint
+    adj = adjoint_matrix(ctx)
     return (adj / p[None, :]) @ adj.T
 
 

@@ -25,14 +25,20 @@ from .objectives import (_FORMS, LossKernelKind, ObjectiveKind,
                          SampleEncoder, VariationalOptions, average_encoder,
                          eval_objective, operator_eigenvalues,
                          solve_spectral, solve_variational)
-from .spectral import (ContextureSpectrum, OperatorMatrices, contexture_svd,
-                       dual_kernel, operator_matrices, reconstruct_joint)
+from .spectral import (ContextureSpectrum, adjoint_matrix, contexture_svd,
+                       dual_kernel, reconstruct_joint)
 
 # ``nondegenerate_context``: required relative spectral gap, and draws
 MIN_GAP = 0.03
 TRIES = 200
 # points of the brute-force grid in ``worstcase_residuals``
 WORSTCASE_GRID = 20001
+# ``random_graph_context``: self-loop weight per unit of off-diagonal degree
+DIAGONAL_BOOST = 1.0
+# ``random_invertible``: singular values are drawn uniformly from [1, COND_CAP)
+COND_CAP = 4.0
+# eigenvalues compared by ``estimation_refinement_residual``
+REFINEMENT_TOP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +70,7 @@ def random_doubly_stochastic_context(rng: np.random.Generator,
                          label="doubly_stochastic", same_support=True)
 
 
-def random_graph_context(rng: np.random.Generator, n: int,
-                         diagonal_boost: float = 1.0) -> FiniteContext:
+def random_graph_context(rng: np.random.Generator, n: int) -> FiniteContext:
     """Random kernel graph over latent coordinates, diagonally dominated.
 
     The latent geometry gives the walk a smoothly decaying spectrum with
@@ -76,16 +81,15 @@ def random_graph_context(rng: np.random.Generator, n: int,
     w = np.exp(-float(rng.uniform(0.3, 1.5)) * sq_dists(latent, latent))
     np.fill_diagonal(w, 0.0)
     off_degrees = w.sum(axis=1)
-    w += np.diag(diagonal_boost * off_degrees)
+    w += np.diag(DIAGONAL_BOOST * off_degrees)
     return build_graph_context(w)
 
 
-def random_invertible(rng: np.random.Generator, d: int,
-                      cond_cap: float = 4.0) -> np.ndarray:
+def random_invertible(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random invertible matrix with bounded condition number."""
     q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
     q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    sing = rng.uniform(1.0, cond_cap, size=d)
+    sing = rng.uniform(1.0, COND_CAP, size=d)
     return q1 @ np.diag(sing) @ q2.T
 
 
@@ -136,9 +140,10 @@ def _check(name, residuals, tolerance):
             "passed": bool(worst <= tolerance)}
 
 
-def _duality_residual(spec: ContextureSpectrum, op: OperatorMatrices) -> float:
+def _duality_residual(spec: ContextureSpectrum, ctx: FiniteContext) -> float:
     p = spec.input_marginal.weights
     q = spec.context_marginal.weights
+    adj = adjoint_matrix(ctx)
     worst = 0.0
     for i in range(spec.rank):
         s = spec.singular_values[i]
@@ -146,8 +151,8 @@ def _duality_residual(spec: ContextureSpectrum, op: OperatorMatrices) -> float:
             continue
         mu, nu = spec.left_functions[:, i], spec.right_functions[:, i]
         worst = max(worst,
-                    weighted_norm(mu - op.forward @ nu / s, p),
-                    weighted_norm(nu - op.adjoint @ mu / s, q))
+                    weighted_norm(mu - ctx.conditional @ nu / s, p),
+                    weighted_norm(nu - adj @ mu / s, q))
     return worst
 
 
@@ -230,12 +235,12 @@ def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
     return gap_formula, max(0.0, worst_short)
 
 
-def estimation_refinement_residual(rng, n_support=64, n_seeds=20, top=6):
+def estimation_refinement_residual(rng, n_support=64, n_seeds=20):
     """Largest increase of mean eigenvalue error along a growing-m schedule."""
     pts = PointSet(rng.standard_normal((n_support, 3)))
     ctx = build_rbf_context(pts, gamma=0.8)
     spec = contexture_svd(ctx)
-    truth = spec.nontrivial_values[:top] ** 2
+    truth = spec.nontrivial_values[:REFINEMENT_TOP] ** 2
     ms = [n_support // 8, n_support // 4, n_support // 2, n_support]
     errors = []
     for m_sub in ms:
@@ -243,8 +248,8 @@ def estimation_refinement_residual(rng, n_support=64, n_seeds=20, top=6):
         for _ in range(n_seeds):
             sub = subsample_support(ctx, m_sub, seed=int(rng.integers(2 ** 31)))
             sub_spec = contexture_svd(sub)
-            est = np.zeros(top)
-            vals = sub_spec.nontrivial_values[:top] ** 2
+            est = np.zeros(REFINEMENT_TOP)
+            vals = sub_spec.nontrivial_values[:REFINEMENT_TOP] ** 2
             est[:vals.size] = vals
             per_seed.append(float(np.mean(np.abs(est - truth))))
         errors.append(float(np.mean(per_seed)))
@@ -299,15 +304,15 @@ def spectral_checks(rng, n, m, trials) -> list[dict]:
     res_adj, res_dual, res_jensen, res_eig, res_trace, res_joint = ([] for _ in range(6))
     for _ in range(trials):
         ctx = random_dense_context(rng, n, m)
-        op = operator_matrices(ctx)
+        adj = adjoint_matrix(ctx)
         p, q = ctx.input_marginal.weights, ctx.context_marginal.weights
         for _ in range(5):
             f = rng.standard_normal(n)
             g = rng.standard_normal(m)
-            res_adj.append(abs(float(p @ (f * (op.forward @ g)))
-                               - float(q @ ((op.adjoint @ f) * g))))
+            res_adj.append(abs(float(p @ (f * (ctx.conditional @ g)))
+                               - float(q @ ((adj @ f) * g))))
         spec = contexture_svd(ctx)
-        res_dual.append(_duality_residual(spec, op))
+        res_dual.append(_duality_residual(spec, ctx))
         res_jensen.append(float(np.max(spec.singular_values)) - 1.0)
         kx = dual_kernel(ctx)
         lam = spec.singular_values ** 2
@@ -395,8 +400,7 @@ def compatibility_checks(rng, n, m, trials) -> list[dict]:
         ctx = random_dense_context(rng, n, m)
         spec = contexture_svd(ctx)
         f = TaskFunction(rng.standard_normal(n), ctx.input_marginal).normalize()
-        op = operator_matrices(ctx)
-        direct = weighted_norm(op.adjoint @ f.values,
+        direct = weighted_norm(adjoint_matrix(ctx) @ f.values,
                                ctx.context_marginal.weights)
         res.append(abs(compatibility(spec, f) - direct))
     return [_check("compatibility_matches_maximization", res, 1e-6)]

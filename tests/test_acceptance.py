@@ -12,7 +12,7 @@ from contexture import (DiscreteDistribution, ExperimentConfig,
                         SampleEncoder, build_rbf_context,
                         cca_alignment, contexture_svd, decay_rate, dual_kernel,
                         estimate_covariances, estimate_spectrum_posthoc,
-                        eval_objective, mutual_knn, operator_matrices,
+                        eval_objective, mutual_knn, adjoint_matrix,
                         reconstruct_joint, run_experiment, solve_spectral,
                         subsample_support, usefulness_metric, verify_theorems,
                         write_report)
@@ -42,7 +42,7 @@ class TestCriterion1SpectralCore:
             ctx = random_dense_context(rng, n, m,
                                        concentration=float(rng.uniform(0.3, 1.5)))
             spec = contexture_svd(ctx)
-            op = operator_matrices(ctx)
+            adj = adjoint_matrix(ctx)
             p = ctx.input_marginal.weights
             q = ctx.context_marginal.weights
             for i in range(spec.rank):
@@ -53,8 +53,8 @@ class TestCriterion1SpectralCore:
                 nu = spec.right_functions[:, i]
                 worst_duality = max(
                     worst_duality,
-                    weighted_norm(mu - op.forward @ nu / s, p),
-                    weighted_norm(nu - op.adjoint @ mu / s, q))
+                    weighted_norm(mu - ctx.conditional @ nu / s, p),
+                    weighted_norm(nu - adj @ mu / s, q))
             joint = p[:, None] * ctx.conditional
             worst_joint = max(worst_joint,
                               float(np.max(np.abs(reconstruct_joint(spec)

@@ -156,6 +156,12 @@ class TestMasked:
         with pytest.raises(ValueError, match="all 4 features"):
             build_masked_context(pts, ("rbf", 1.0), 0.9, 1, seed=0)
 
+    @pytest.mark.parametrize("frac", [-0.1, -0.5, 1.0, float("nan")])
+    def test_mask_fraction_outside_unit_interval_is_error(self, frac):
+        pts = PointSet(np.random.default_rng(4).normal(size=(6, 5)))
+        with pytest.raises(ValueError, match="mask_fraction"):
+            build_masked_context(pts, ("knn", 3), frac, 4, seed=0)
+
     def test_rows_are_stochastic(self):
         pts = PointSet(np.random.default_rng(5).normal(size=(7, 6)))
         ctx = build_masked_context(pts, ("knn", 2), 0.3, 5, seed=9)

@@ -9,7 +9,7 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         dual_kernel, fisher_discriminant, fit_linear_probe,
                         kernel_association_measures, mutual_knn, ratio_trace,
                         trace_gap_bound, usefulness_metric, worst_case_err)
-from contexture.evaluation import UsefulnessReport
+from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
 from contexture.spectral import ContextureSpectrum
 
 
@@ -164,6 +164,11 @@ class TestLinearProbe:
             fit_linear_probe((np.ones((5, 1)), np.ones(5)),
                              (np.ones((2, 1)), np.ones(2)), [])
 
+    def test_nan_penalty_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            fit_linear_probe((np.ones((5, 1)), np.ones(5)),
+                             (np.ones((2, 1)), np.ones(2)), [1e-3, np.nan])
+
 
 class TestUsefulnessMetric:
     def test_reference_curve(self):
@@ -192,6 +197,10 @@ class TestUsefulnessMetric:
         b = usefulness_metric(np.concatenate([s, np.zeros(7)]), d0=6,
                               beta=2.0).tau_curve
         assert np.array_equal(a, b)
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            usefulness_metric(np.sqrt([0.8, 0.5]), d0=3, beta=float("nan"))
 
 
 class TestDecayRate:
@@ -547,7 +556,7 @@ class TestUsefulnessReportSerialization:
                              "beta", "d0", "kernel_deviation", "lipschitz",
                              "degenerate"}
         path = tmp_path / "curve.csv"
-        report.save_tau_curve_csv(path)
+        save_tau_curve_csv(report.tau_curve, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "d,tau_d"
         assert len(lines) == 3

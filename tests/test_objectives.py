@@ -129,7 +129,7 @@ class TestEvalObjective:
 
     def test_perfect_linear_fit_has_zero_loss(self):
         ctx = build_label_context(np.array([0, 0, 1, 1]))
-        one_hot = ctx.conditional.copy()
+        one_hot = np.eye(2)[[0, 0, 1, 1]]
         enc = SampleEncoder(one_hot, "input", ctx.input_marginal)
         assert eval_objective("supervised_unbiased", ctx, enc) < 1e-12
 

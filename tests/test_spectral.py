@@ -4,10 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from contexture import (DiscreteDistribution,
-                        FiniteContext, apply_operator, build_label_context,
-                        contexture_svd, dual_kernel, load_spectrum,
-                        operator_matrices, positive_pair_kernel,
+from contexture import (DiscreteDistribution, FiniteContext, adjoint_matrix,
+                        build_label_context, contexture_svd, dual_kernel,
+                        load_spectrum, positive_pair_kernel,
                         reconstruct_joint, save_spectrum)
 from contexture._linalg import weighted_norm
 from contexture.spectral import CLAMP_TOL
@@ -21,31 +20,29 @@ def random_context(seed, n, m):
 
 class TestOperatorMatrices:
     def test_independent_context(self, independent_context):
-        op = operator_matrices(independent_context)
-        assert np.allclose(op.forward,
+        assert np.allclose(independent_context.conditional,
                            np.tile([0.2, 0.3, 0.5], (4, 1)))
-        assert np.allclose(op.adjoint, np.tile(0.25, (3, 4)))
+        assert np.allclose(adjoint_matrix(independent_context),
+                           np.tile(0.25, (3, 4)))
 
     def test_identity_context(self, identity_context):
-        op = operator_matrices(identity_context)
-        assert np.allclose(op.forward, np.eye(2))
-        assert np.allclose(op.adjoint, np.eye(2))
+        assert np.allclose(identity_context.conditional, np.eye(2))
+        assert np.allclose(adjoint_matrix(identity_context), np.eye(2))
 
     def test_channel_adjoint_is_symmetric_case(self, two_state):
-        op = operator_matrices(two_state)
         # uniform marginals and symmetric conditional: Bayes gives Q back
-        assert np.allclose(op.adjoint, two_state.conditional)
+        assert np.allclose(adjoint_matrix(two_state), two_state.conditional)
 
     def test_adjoint_identity_random_probes(self):
         ctx = random_context(0, 7, 5)
-        op = operator_matrices(ctx)
+        adj = adjoint_matrix(ctx)
         rng = np.random.default_rng(1)
         p = ctx.input_marginal.weights
         q = ctx.context_marginal.weights
         for _ in range(20):
             f, g = rng.standard_normal(7), rng.standard_normal(5)
-            lhs = float(p @ (f * (op.forward @ g)))
-            rhs = float(q @ ((op.adjoint @ f) * g))
+            lhs = float(p @ (f * (ctx.conditional @ g)))
+            rhs = float(q @ ((adj @ f) * g))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -119,7 +116,7 @@ class TestContextureSvd:
     def test_duality_both_directions(self):
         ctx = random_context(4, 10, 8)
         spec = contexture_svd(ctx)
-        op = operator_matrices(ctx)
+        adj = adjoint_matrix(ctx)
         p, q = ctx.input_marginal.weights, ctx.context_marginal.weights
         for i in range(spec.rank):
             s = spec.singular_values[i]
@@ -127,8 +124,8 @@ class TestContextureSvd:
                 continue
             mu = spec.left_functions[:, i]
             nu = spec.right_functions[:, i]
-            assert weighted_norm(mu - op.forward @ nu / s, p) < 1e-8
-            assert weighted_norm(nu - op.adjoint @ mu / s, q) < 1e-8
+            assert weighted_norm(mu - ctx.conditional @ nu / s, p) < 1e-8
+            assert weighted_norm(nu - adj @ mu / s, q) < 1e-8
 
     def test_rank_validation(self, two_state):
         with pytest.raises(ValueError):
@@ -145,29 +142,20 @@ class TestContextureSvd:
 
 class TestApplyOperator:
     def test_stochastic_rows_preserve_ones(self, two_state):
-        op = operator_matrices(two_state)
-        assert np.allclose(apply_operator(op, "forward", np.ones(2)), 1.0)
-        assert np.allclose(apply_operator(op, "adjoint", np.ones(2)), 1.0)
+        assert np.allclose(two_state.conditional @ np.ones(2), 1.0)
+        assert np.allclose(adjoint_matrix(two_state) @ np.ones(2), 1.0)
 
     def test_duality_application(self, two_state):
         spec = contexture_svd(two_state)
-        op = operator_matrices(two_state)
         nu1 = spec.right_functions[:, 1]
         mu1 = spec.left_functions[:, 1]
-        assert np.allclose(apply_operator(op, "forward", nu1), 0.8 * mu1)
+        assert np.allclose(two_state.conditional @ nu1, 0.8 * mu1)
 
     def test_adjoint_then_forward_scales_by_squared_value(self, two_state):
         spec = contexture_svd(two_state)
-        op = operator_matrices(two_state)
         mu1 = spec.left_functions[:, 1]
-        roundtrip = apply_operator(op, "forward",
-                                   apply_operator(op, "adjoint", mu1))
+        roundtrip = two_state.conditional @ (adjoint_matrix(two_state) @ mu1)
         assert np.allclose(roundtrip, 0.64 * mu1)
-
-    def test_dimension_mismatch(self, two_state):
-        op = operator_matrices(two_state)
-        with pytest.raises(ValueError):
-            apply_operator(op, "forward", np.ones(3))
 
 
 class TestReconstructJoint:
