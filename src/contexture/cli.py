@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -130,10 +131,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_metric(args) -> int:
     spec = load_spectrum(args.spectrum)
     frag = usefulness_metric(spec.nontrivial_values, d0=args.d0, beta=args.beta)
-    payload = {"tau": frag.tau, "d_star_metric": frag.d_star_metric,
-               "beta": args.beta, "d0": args.d0,
-               "degenerate": frag.degenerate,
-               "tau_curve": frag.tau_curve.tolist()}
+    payload = dict(asdict(frag), beta=args.beta, d0=args.d0)
     text = json.dumps(as_native(payload), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -177,7 +175,7 @@ def _cmd_evaluate(args) -> int:
     probe = fit_linear_probe((enc.values[train_idx], y[train_idx]),
                              (enc.values[test_idx], y[test_idx]),
                              args.ridge_grid, seed=args.seed)
-    print(json.dumps(as_native(probe.to_json_dict()), sort_keys=True, indent=2))
+    print(json.dumps(probe.to_json_dict(), sort_keys=True, indent=2))
     return 0
 
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._linalg import (golden_section_min, independent_columns, nearest,
-                      sq_dists, sym_inv_sqrt, weighted_center, weighted_norm,
-                      whiten_columns)
+from ._linalg import (as_native, golden_section_min, independent_columns,
+                      nearest, sq_dists, sym_inv_sqrt, weighted_center,
+                      weighted_norm, whiten_columns)
 from .context import DiscreteDistribution, FiniteContext, PointSet
 from .errors import NumericalError
 from .estimation import estimate_covariances
@@ -58,11 +58,7 @@ class ProbeResult:
     test_mse: float
 
     def to_json_dict(self) -> dict:
-        return {"weights": np.asarray(self.weights).tolist(),
-                "bias": float(self.bias),
-                "ridge_penalty": float(self.ridge_penalty),
-                "train_mse": float(self.train_mse),
-                "test_mse": float(self.test_mse)}
+        return as_native(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -88,9 +84,7 @@ class UsefulnessReport:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
-        data["tau_curve"] = np.asarray(self.tau_curve).tolist()
-        return data
+        return as_native(asdict(self))
 
 
 def save_tau_curve_csv(tau_curve, path) -> None:
@@ -130,6 +124,8 @@ def compatibility(spec: ContextureSpectrum, f: TaskFunction) -> float:
 def worst_case_err(spec: ContextureSpectrum, d: int, epsilon: float) -> float:
     """Worst linear-probe error of the optimal d-dim encoder over the
     compatible task class at compatibility level 1 - epsilon."""
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     s = spec.nontrivial_values
     s1 = float(s[0]) if s.size else 0.0
     s2 = float(s[1]) if s.size > 1 else 0.0
@@ -193,8 +189,8 @@ def fit_linear_probe(train, test, ridge_grid, seed: int = 0) -> ProbeResult:
     grid = [float(g) for g in ridge_grid]
     if not grid:
         raise ValueError("ridge grid must be nonempty")
-    if not all(g > 0 for g in grid):
-        raise ValueError("ridge penalties must be positive")
+    if not all(0 < g < np.inf for g in grid):
+        raise ValueError("ridge penalties must be positive and finite")
 
     order = np.random.default_rng(seed).permutation(x_train.shape[0])
     n_val = max(1, x_train.shape[0] // 5)

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,23 +66,13 @@ class ExperimentConfig:
         # the sweep, and d = 0 would score an empty embedding
         if self.d0 < 1 or not self.beta > 0:
             raise ValueError("d0 must be at least 1 and beta positive")
-        if not all(g > 0 for g in self.ridge_grid):
-            raise ValueError("ridge penalties must be positive")
+        if not all(0 < g < np.inf for g in self.ridge_grid):
+            raise ValueError("ridge penalties must be positive and finite")
         if min(self.d_grid) < 1:
             raise ValueError("every d in the d grid must be at least 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "dataset_path": self.dataset_path,
-            "target_column": self.target_column,
-            "split_fractions": list(self.split_fractions),
-            "context_grid": list(self.context_grid),
-            "d0": self.d0,
-            "beta": self.beta,
-            "ridge_grid": list(self.ridge_grid),
-            "d_grid": list(self.d_grid),
-            "seed": self.seed,
-        }
+        return as_native(asdict(self))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -235,7 +225,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     idx_pre, idx_down, idx_test = split_dataset(n, config.split_fractions,
                                                 config.seed)
     feats = zscore_by_reference(points.points, idx_pre)
-    pre_pts = feats[idx_pre]
+    pre_set = PointSet(feats[idx_pre])
 
     y = task.values
     y_mean, y_std = y[idx_down].mean(), y[idx_down].std()
@@ -245,8 +235,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     per_context, failures = [], []
     for ci, descriptor in enumerate(config.context_grid):
         try:
-            entry = _evaluate_context(descriptor, ci, config, pre_pts, feats,
-                                      idx_pre, idx_down, idx_test, y_norm)
+            entry = _evaluate_context(descriptor, ci, config, pre_set, feats,
+                                      idx_down, idx_test, y_norm)
             per_context.append(entry)
         except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
             # per-context failures are data; resource errors propagate
@@ -278,9 +268,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _evaluate_context(descriptor, ci, config, pre_pts, feats,
-                      idx_pre, idx_down, idx_test, y_norm) -> dict:
-    pre_set = PointSet(pre_pts)
+def _evaluate_context(descriptor, ci, config, pre_set, feats,
+                      idx_down, idx_test, y_norm) -> dict:
     ctx = build_from_descriptor(descriptor, pre_set,
                                 seed=_context_seed(config.seed, ci))
     spec = contexture_svd(ctx)
@@ -297,8 +286,8 @@ def _evaluate_context(descriptor, ci, config, pre_pts, feats,
         if d > avail:
             continue
         enc_pre = spec.left_functions[:, 1:d + 1]
-        emb_down = extend_encoder(pre_pts, enc_pre, feats[idx_down])
-        emb_test = extend_encoder(pre_pts, enc_pre, feats[idx_test])
+        emb_down = extend_encoder(pre_set.points, enc_pre, feats[idx_down])
+        emb_test = extend_encoder(pre_set.points, enc_pre, feats[idx_test])
         probe = fit_linear_probe((emb_down, y_norm[idx_down]),
                                  (emb_test, y_norm[idx_test]),
                                  config.ridge_grid, seed=config.seed)

@@ -59,8 +59,8 @@ class _Form:
     aux vectors live on the opposite support. ``kernel``: the loss kernel
     of the sandwiched operator, ``None`` when the minimizer is the
     contexture. ``biased``: the objective fits an intercept, so only the
-    centred span is determined. ``constrained``: the encoder must have
-    identity covariance.
+    centred span is determined (for a kernel kind: the centred linear
+    kernel). ``constrained``: the encoder must have identity covariance.
     """
 
     support: str
@@ -93,8 +93,7 @@ class SampleEncoder:
     """Encoder values tabulated on a finite support.
 
     ``support`` is ``"input"`` or ``"context"``; ``marginal`` is the
-    weighting distribution of that support. Mean and centered values are
-    cached on first access.
+    weighting distribution of that support.
     """
 
     def __init__(self, values: np.ndarray, support: str,
@@ -113,22 +112,16 @@ class SampleEncoder:
         self.values = values
         self.support = support
         self.marginal = marginal
-        self._mean = None
-        self._centered = None
 
     @property
     def d(self) -> int:
         return self.values.shape[1]
 
     def mean(self) -> np.ndarray:
-        if self._mean is None:
-            self._mean = weighted_mean(self.values, self.marginal.weights)
-        return self._mean
+        return weighted_mean(self.values, self.marginal.weights)
 
     def centered(self) -> np.ndarray:
-        if self._centered is None:
-            self._centered = self.values - self.mean()
-        return self._centered
+        return self.values - self.mean()
 
 
 @dataclass(frozen=True)
@@ -155,11 +148,14 @@ def _row_codes(vecs: np.ndarray) -> np.ndarray:
 
 def loss_kernel_matrix(kind, context_vectors: np.ndarray | None,
                        marginal: DiscreteDistribution) -> np.ndarray:
-    """Kernel matrix on the context support induced by a loss function.
+    """Kernel matrix induced by a loss function on the support opposite
+    the encoder's (the context support for input-support encoders), whose
+    ``marginal`` is given.
 
     ``indicator`` compares points for identity (vectors, if given, must
-    match exactly); ``linear`` is the plain inner product of the context
-    vectors; ``centered_linear`` subtracts their marginal mean first.
+    match exactly); ``linear`` is the plain inner product of the vectors;
+    ``centered_linear`` subtracts their marginal mean first. The solvers
+    never form it; it defines what ``_sandwiched_operator`` computes.
     """
     kind = LossKernelKind(kind)
     if context_vectors is None:
@@ -185,8 +181,8 @@ def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
     support opposite the encoder's; one-hot when absent.
 
     Under the indicator kernel only the identity of a row matters, so rows
-    become the one-hot code of their class: the least-squares form then
-    fits the same kernel the sandwiched operator uses.
+    become the one-hot code of their class, whose Gram matrix is that
+    kernel.
     """
     form = _FORMS[objective]
     size = len(form.marginals(ctx)[1])
@@ -257,19 +253,20 @@ def solve_spectral(objective, ctx: FiniteContext, d: int,
 
 def _sandwiched_operator(objective: ObjectiveKind, ctx: FiniteContext,
                          aux: np.ndarray | None) -> np.ndarray:
-    """Whitened loss-kernel sandwich of the expectation operator on the
-    encoder support: ``b @ kernel @ b.T`` with the kernel on the opposite
-    support."""
-    form = _FORMS[objective]
-    p = ctx.input_marginal.weights
-    if form.support == "input":
-        b = np.sqrt(p)[:, None] * ctx.conditional
-    else:
-        q = ctx.context_marginal.weights
-        b = ((p[:, None] * ctx.conditional) / np.sqrt(q)[None, :]).T
-    kernel = loss_kernel_matrix(form.kernel, _resolve_aux(objective, ctx, aux),
-                                form.marginals(ctx)[1])
-    return b @ kernel @ b.T
+    """Whitened loss-kernel sandwich ``b @ loss_kernel_matrix(...) @ b.T``
+    of the expectation operator, ``b = sqrt(rows) * expect`` in the terms
+    of ``_least_squares_form``.
+
+    The kernel is ``V @ V.T`` for the aux coordinates V, so this is the
+    Gram matrix of the ``sqrt(rows)``-scaled targets ``expect @ V``. As
+    ``rows @ expect == cols``, centring the targets under ``rows`` centres
+    V under the opposite marginal, as the centred linear kernel does.
+    """
+    ls = _least_squares_form(objective, ctx, _resolve_aux(objective, ctx, aux))
+    targets = (weighted_center(ls.targets, ls.row_weights) if ls.intercept
+               else ls.targets)
+    scaled = np.sqrt(ls.row_weights)[:, None] * targets
+    return scaled @ scaled.T
 
 
 def operator_eigenvalues(objective, ctx: FiniteContext,
@@ -308,21 +305,22 @@ class _LeastSquaresForm:
 
 def _least_squares_form(objective: ObjectiveKind, ctx: FiniteContext,
                         vectors: np.ndarray) -> _LeastSquaresForm:
+    """Least squares on the aux ``vectors``: targets ``expect @ vectors``
+    under row weights ``rows``; ``rows @ expect == cols`` in every case."""
     p = ctx.input_marginal.weights
     q = ctx.context_marginal.weights
-    if objective is ObjectiveKind.SUPERVISED_BALANCED:
-        t = ctx.conditional
-        inv_sq = 1.0 / np.sqrt(q)
-        rho = t @ inv_sq
-        targets = (t * inv_sq[None, :]) @ vectors / rho[:, None]
-        weights = p * rho
-        offset = float(np.sqrt(q) @ np.sum(vectors ** 2, axis=1)
-                       - weights @ np.sum(targets ** 2, axis=1))
-        return _LeastSquaresForm(weights, targets, True, offset)
-    # conditional expectation of the vectors on the encoder support
     form = _FORMS[objective]
-    expect, rows, cols = ((ctx.conditional, p, q) if form.support == "input"
-                          else (adjoint_matrix(ctx), q, p))
+    if objective is ObjectiveKind.SUPERVISED_BALANCED:
+        # class balancing reweights context a by 1 / sqrt(q_a); each row is
+        # renormalized and its mass rho moves into the row weight
+        inv_sq = 1.0 / np.sqrt(q)
+        rho = ctx.conditional @ inv_sq
+        expect = ctx.conditional * inv_sq[None, :] / rho[:, None]
+        rows, cols = p * rho, np.sqrt(q)
+    elif form.support == "input":
+        expect, rows, cols = ctx.conditional, p, q
+    else:
+        expect, rows, cols = adjoint_matrix(ctx), q, p
     targets = expect @ vectors
     offset = float(cols @ np.sum(vectors ** 2, axis=1)
                    - rows @ np.sum(targets ** 2, axis=1))
@@ -445,6 +443,9 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     opts = opts or VariationalOptions()
     if opts.steps < 1:
         raise ValueError("steps must be at least 1")
+    if not (np.isfinite(opts.learning_rate) and opts.learning_rate > 0):
+        raise ValueError("learning_rate must be positive and finite, "
+                         f"got {opts.learning_rate}")
     rng = np.random.default_rng(opts.seed)
 
     form = _FORMS[objective]
@@ -512,10 +513,14 @@ def average_encoder(ctx: FiniteContext, psi: SampleEncoder) -> SampleEncoder:
 def save_encoder(enc: SampleEncoder, path, objective: str | None = None,
                  seed: int | None = None) -> None:
     path = Path(path)
+    sidecar_path = path.with_suffix(".json")
+    if sidecar_path == path:
+        raise ValueError(f"encoder path {path} is its own JSON sidecar path; "
+                         "give the values file another suffix, e.g. .csv")
     np.savetxt(path, enc.values, delimiter=",")
     sidecar = {"support": enc.support, "d": enc.d,
                "objective": objective, "seed": seed}
-    path.with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
+    sidecar_path.write_text(json.dumps(sidecar) + "\n")
 
 
 def load_encoder(path, marginal: DiscreteDistribution | None = None) -> SampleEncoder:

@@ -74,6 +74,41 @@ def test_learn_variational_mode(tmp_path, waves_csv):
     assert values.shape == (60,)
 
 
+def test_learn_to_json_path_is_usage_error(tmp_path, waves_csv, capsys):
+    # a .json values file would be overwritten by its own sidecar
+    enc_path = tmp_path / "enc.json"
+    rc = main(["learn", "--objective", "supervised_balanced",
+               "--context", "rbf:0.5", "--d", "2", "--input", str(waves_csv),
+               "--target", "y", "--out", str(enc_path)])
+    assert rc == 1
+    assert "enc.json" in capsys.readouterr().err
+    assert not enc_path.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "nan"])
+def test_learn_bad_learning_rate_is_usage_error(tmp_path, waves_csv, capsys,
+                                                rate):
+    rc = main(["learn", "--objective", "multiview_noncontrastive",
+               "--context", "rbf:0.5", "--d", "1", "--mode", "variational",
+               "--input", str(waves_csv), "--target", "y",
+               "--out", str(tmp_path / "enc.csv"), "--learning-rate", rate])
+    assert rc == 1
+    assert "learning_rate" in capsys.readouterr().err
+
+
+def test_evaluate_infinite_ridge_is_usage_error(tmp_path, waves_csv, capsys):
+    enc_path = tmp_path / "enc.csv"
+    assert main(["learn", "--objective", "supervised_balanced",
+                 "--context", "rbf:0.5", "--d", "2", "--input",
+                 str(waves_csv), "--target", "y", "--out", str(enc_path)]) == 0
+    capsys.readouterr()
+    rc = main(["evaluate", "--encoder", str(enc_path), "--input",
+               str(waves_csv), "--target", "y", "--ridge-grid", "inf"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_experiment_subcommand(tmp_path, waves_csv, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

@@ -86,6 +86,12 @@ class TestWorstCaseErr:
         with pytest.raises(ValueError, match="flat spectrum"):
             worst_case_err(spec, 1, 0.2)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_rejected(self, d):
+        spec = synthetic_spectrum([0.8, 0.5, 0.5])
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            worst_case_err(spec, d, 0.25)
+
     def test_epsilon_bounds_named(self):
         spec = synthetic_spectrum([0.8, 0.5])
         with pytest.raises(ValueError, match="lower bound"):
@@ -168,6 +174,11 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match="positive"):
             fit_linear_probe((np.ones((5, 1)), np.ones(5)),
                              (np.ones((2, 1)), np.ones(2)), [1e-3, np.nan])
+
+    def test_infinite_penalty_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            fit_linear_probe((np.ones((5, 1)), np.ones(5)),
+                             (np.ones((2, 1)), np.ones(2)), [np.inf])
 
 
 class TestUsefulnessMetric:

@@ -165,7 +165,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"d0": 0}, {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")},
         {"ridge_grid": [1e-3, 0.0]}, {"ridge_grid": [-1.0]},
-        {"d_grid": [0, 2]}, {"split_fractions": (float("nan"), 0.5, 0.5)}])
+        {"d_grid": [0, 2]}, {"split_fractions": (float("nan"), 0.5, 0.5)},
+        {"ridge_grid": [float("inf")]}])
     def test_values_that_fail_every_context_rejected(self, bad):
         fields = {"dataset_path": "x", "target_column": "y",
                   "context_grid": ["rbf:1"], "ridge_grid": [1e-3],

@@ -10,7 +10,8 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         solve_spectral, solve_variational)
 from contexture._linalg import (principal_angle_cosines, weighted_cov,
                                 weighted_norm)
-from contexture.objectives import _FORMS, LossKernelKind, ObjectiveKind
+from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
+                                   _sandwiched_operator)
 
 
 def channel_as_label_context():
@@ -51,6 +52,43 @@ class TestLossKernelMatrix:
     def test_linear_requires_vectors(self):
         with pytest.raises(ValueError):
             loss_kernel_matrix("linear", None, DiscreteDistribution.uniform(2))
+
+
+class TestSandwichedOperator:
+    """The operator the loss-kernel kinds diagonalize equals its definition,
+    the loss kernel sandwiched by the whitened expectation operator."""
+
+    @staticmethod
+    def _definition(kind, ctx, aux):
+        p = ctx.input_marginal.weights
+        q = ctx.context_marginal.weights
+        if _FORMS[kind].support == "input":
+            b = np.sqrt(p)[:, None] * ctx.conditional
+            other = ctx.context_marginal
+        else:  # sqrt(q_a) P(x | a), from Bayes' rule
+            b = np.sqrt(q)[:, None] * (p[:, None] * ctx.conditional / q).T
+            other = ctx.input_marginal
+        vecs = np.eye(len(other)) if aux is None else aux
+        return b @ loss_kernel_matrix(_FORMS[kind].kernel, vecs, other) @ b.T
+
+    @pytest.mark.parametrize("aux_kind", ["none", "real", "grouped"])
+    @pytest.mark.parametrize("kind", [k for k in ObjectiveKind
+                                      if _FORMS[k].kernel is not None])
+    def test_matches_kernel_definition(self, kind, aux_kind):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            ctx = FiniteContext(rng.dirichlet(np.ones(7), size=9),
+                                DiscreteDistribution(rng.dirichlet(np.ones(9))))
+            size = 7 if _FORMS[kind].support == "input" else 9
+            # integer codes in {0, 1, 2}: rows repeat, so classes group
+            aux = {"none": None,
+                   "real": rng.standard_normal((size, 2)),
+                   "grouped": rng.integers(0, 3, (size, 1)).astype(float),
+                   }[aux_kind]
+            op = _sandwiched_operator(kind, ctx, aux)
+            ref = self._definition(kind, ctx, aux)
+            assert op.shape == ref.shape
+            assert np.linalg.norm(op - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSolveSpectral:
@@ -186,6 +224,12 @@ class TestSolveVariational:
             solve_variational("multiview_contrastive", two_state, 1, opts)
         assert len(excinfo.value.trace) > 100
 
+    @pytest.mark.parametrize("rate", [0.0, -0.05, np.nan, np.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, two_state, rate):
+        opts = VariationalOptions(learning_rate=rate, steps=10)
+        with pytest.raises(ValueError, match="learning_rate"):
+            solve_variational("multiview_noncontrastive", two_state, 1, opts)
+
     def test_deterministic_given_seed(self, two_state):
         a = solve_variational("multiview_contrastive", two_state, 1,
                               VariationalOptions(seed=9, steps=200))
@@ -204,6 +248,14 @@ class TestEncoderSerialization:
         assert loaded.support == "context"
         sidecar = (tmp_path / "enc.json").read_text()
         assert '"seed": 3' in sidecar
+
+    def test_json_values_path_rejected(self, tmp_path, two_state):
+        # the sidecar would land on the values file itself
+        enc = solve_spectral("multiview_noncontrastive", two_state, 1)
+        path = tmp_path / "enc.json"
+        with pytest.raises(ValueError, match="enc.json"):
+            save_encoder(enc, path)
+        assert not path.exists()
 
 
 class TestSampleEncoderCaches:
