@@ -72,10 +72,6 @@ def fix_signs(columns: np.ndarray, *paired: np.ndarray) -> None:
         arr[:, flip] = -arr[:, flip]
 
 
-def weighted_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(weights * f * g))
-
-
 def weighted_norm(f: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sqrt(np.sum(weights * f * f)))
 
@@ -141,29 +137,6 @@ def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
         return np.zeros(0)
     cos = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.clip(cos, 0.0, 1.0)
-
-
-def independent_columns(values: np.ndarray, weights: np.ndarray) -> list[int]:
-    """Indices of a maximal linearly independent subset of columns.
-
-    Greedy left-to-right Gram-Schmidt in the weighted inner product: a
-    column is kept if its residual against the kept ones is non-negligible.
-    """
-    kept: list[int] = []
-    basis: list[np.ndarray] = []
-    for j in range(values.shape[1]):
-        col = values[:, j].astype(float)
-        norm0 = weighted_norm(col, weights)
-        if norm0 <= 0.0:
-            continue
-        resid = col.copy()
-        for b in basis:
-            resid -= weighted_inner(resid, b, weights) * b
-        norm_r = weighted_norm(resid, weights)
-        if norm_r > _RANK_REL_TOL * norm0:
-            kept.append(j)
-            basis.append(resid / norm_r)
-    return kept
 
 
 def golden_section_min(fn, lo: float, hi: float) -> float:

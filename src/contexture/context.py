@@ -99,6 +99,9 @@ class FiniteContext:
         q_mat = np.asarray(conditional, dtype=float)
         if q_mat.ndim != 2:
             raise ValueError("conditional must be a 2-d matrix")
+        if same_support and q_mat.shape[0] != q_mat.shape[1]:
+            raise ValueError("same_support needs a square conditional, "
+                             f"got shape {q_mat.shape}")
         if not np.all(np.isfinite(q_mat)):
             raise ValueError("conditional must be finite")
         if np.any(q_mat < 0):

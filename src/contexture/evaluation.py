@@ -9,12 +9,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._linalg import (as_native, golden_section_min, independent_columns,
-                      nearest, sq_dists, sym_inv_sqrt, weighted_center,
+from ._linalg import (as_native, golden_section_min, nearest,
+                      orthonormal_basis, principal_angle_cosines, sq_dists,
                       weighted_norm, whiten_columns)
 from .context import DiscreteDistribution, FiniteContext, PointSet
 from .errors import NumericalError
-from .estimation import estimate_covariances
+from .estimation import CovariancePair, estimate_covariances
 from .objectives import SampleEncoder, _LeastSquaresForm, _ls_value_and_grad
 from .spectral import ContextureSpectrum, dual_kernel
 
@@ -334,23 +334,28 @@ def make_usefulness_report(spec: ContextureSpectrum, ctx: FiniteContext,
 # encoder-versus-contexture diagnostics
 # ---------------------------------------------------------------------------
 
+def _basis_covariances(enc: SampleEncoder, ctx: FiniteContext) -> CovariancePair:
+    """Covariance pair of an orthonormal basis of the encoder's centred span:
+    its input covariance is the identity up to roundoff, and dependent
+    columns drop out at the ``orthonormal_basis`` rank cutoff."""
+    if enc.support != "input":
+        raise ValueError("expected an input-support encoder")
+    basis = orthonormal_basis(enc.centered(), ctx.input_marginal.weights)
+    if basis.shape[1] == 0:
+        raise ValueError("encoder has no non-constant independent columns")
+    return estimate_covariances(
+        SampleEncoder(basis, "input", ctx.input_marginal), ctx)
+
+
 def ratio_trace(enc: SampleEncoder, ctx: FiniteContext) -> float:
     """Alignment of an encoder with the contexture.
 
     Trace of input-covariance-inverse times the adjoint-pushed covariance,
-    computed on a maximal linearly independent subset of the centered
-    columns; invariant under invertible column mixing and at most the sum
-    of the top squared singular values.
+    taken on an orthonormal basis of the centred column span, where it is
+    the trace of the pushed covariance alone. Invariant under invertible
+    column mixing and at most the sum of the top squared singular values.
     """
-    if enc.support != "input":
-        raise ValueError("ratio_trace expects an input-support encoder")
-    w = ctx.input_marginal.weights
-    cols = independent_columns(enc.centered(), w)
-    if not cols:
-        raise ValueError("encoder has no non-constant independent columns")
-    reduced = SampleEncoder(enc.values[:, cols], "input", enc.marginal)
-    cov = estimate_covariances(reduced, ctx)
-    return float(np.trace(np.linalg.solve(cov.c_phi, cov.b_phi)))
+    return float(np.trace(_basis_covariances(enc, ctx).b_phi))
 
 
 def trace_gap_bound(enc: SampleEncoder, ctx: FiniteContext,
@@ -408,8 +413,10 @@ def compatible_lift(spec: ContextureSpectrum, f: TaskFunction):
 
 
 def fisher_discriminant(enc: SampleEncoder, ctx: FiniteContext) -> float:
-    """Between-versus-within discriminant score of an encoder."""
-    cov = estimate_covariances(enc, ctx)
+    """Between-versus-within discriminant score of an encoder, taken on an
+    orthonormal basis of its centred span: invariant under invertible
+    column mixing, and a dependent column adds nothing."""
+    cov = _basis_covariances(enc, ctx)
     try:
         solved = np.linalg.solve(cov.c_phi - cov.b_phi, cov.b_phi)
     except np.linalg.LinAlgError as exc:
@@ -425,25 +432,18 @@ def cca_alignment(enc1: SampleEncoder, enc2: SampleEncoder,
                   marginal: DiscreteDistribution) -> float:
     """Mean squared canonical correlation between two encoders.
 
-    Invariant to invertible linear transformations of either encoder;
-    covariances are regularized by 1e-10 times their trace.
+    The canonical correlations are the principal-angle cosines between the
+    centred column spans (Bjorck & Golub 1973), invariant to invertible
+    linear transformations of either encoder. They are averaged over
+    min(d1, d2): a direction a rank-deficient encoder lacks counts as 0.
     """
     if enc1.values.shape[0] != enc2.values.shape[0]:
         raise ValueError("encoders must share a support")
-    w = marginal.weights
-    a = weighted_center(enc1.values, w)
-    b = weighted_center(enc2.values, w)
-    caa = a.T @ (w[:, None] * a)
-    cbb = b.T @ (w[:, None] * b)
-    if np.trace(caa) <= 0 or np.trace(cbb) <= 0:
+    cos = principal_angle_cosines(enc1.values, enc2.values, marginal.weights,
+                                  center=True)
+    if cos.size == 0:
         raise ValueError("zero-variance encoder; CCA undefined")
-    caa += 1e-10 * np.trace(caa) * np.eye(caa.shape[0])
-    cbb += 1e-10 * np.trace(cbb) * np.eye(cbb.shape[0])
-    cab = a.T @ (w[:, None] * b)
-    core = sym_inv_sqrt(caa) @ cab @ sym_inv_sqrt(cbb)
-    cos = np.clip(np.linalg.svd(core, compute_uv=False), 0.0, 1.0)
-    k = min(enc1.d, enc2.d)
-    return float(np.mean(cos[:k] ** 2))
+    return float(np.sum(cos ** 2) / min(enc1.d, enc2.d))
 
 
 def mutual_knn(enc1: SampleEncoder, enc2: SampleEncoder, k: int) -> float:

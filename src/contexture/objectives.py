@@ -176,18 +176,18 @@ def loss_kernel_matrix(kind, context_vectors: np.ndarray | None,
 
 
 def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
-                 aux: np.ndarray | None) -> np.ndarray:
+                 aux: np.ndarray | None) -> np.ndarray | None:
     """Coordinate vectors the loss kernel acts on, one row per point of the
-    support opposite the encoder's; one-hot when absent.
+    support opposite the encoder's; ``None`` (one-hot rows) when absent.
 
     Under the indicator kernel only the identity of a row matters, so rows
     become the one-hot code of their class, whose Gram matrix is that
     kernel.
     """
+    if aux is None:
+        return None
     form = _FORMS[objective]
     size = len(form.marginals(ctx)[1])
-    if aux is None:
-        return np.eye(size)
     aux = np.asarray(aux, dtype=float)
     if aux.ndim == 1:
         aux = aux[:, None]
@@ -304,9 +304,11 @@ class _LeastSquaresForm:
 
 
 def _least_squares_form(objective: ObjectiveKind, ctx: FiniteContext,
-                        vectors: np.ndarray) -> _LeastSquaresForm:
+                        vectors: np.ndarray | None) -> _LeastSquaresForm:
     """Least squares on the aux ``vectors``: targets ``expect @ vectors``
-    under row weights ``rows``; ``rows @ expect == cols`` in every case."""
+    under row weights ``rows``; ``rows @ expect == cols`` in every case.
+    ``None`` means one-hot vectors: the targets are ``expect`` itself, not
+    a copy, so nothing may write into them."""
     p = ctx.input_marginal.weights
     q = ctx.context_marginal.weights
     form = _FORMS[objective]
@@ -321,9 +323,11 @@ def _least_squares_form(objective: ObjectiveKind, ctx: FiniteContext,
         expect, rows, cols = ctx.conditional, p, q
     else:
         expect, rows, cols = adjoint_matrix(ctx), q, p
-    targets = expect @ vectors
-    offset = float(cols @ np.sum(vectors ** 2, axis=1)
-                   - rows @ np.sum(targets ** 2, axis=1))
+    if vectors is None:
+        targets, sq_norms = expect, np.ones(expect.shape[1])
+    else:
+        targets, sq_norms = expect @ vectors, np.sum(vectors ** 2, axis=1)
+    offset = float(cols @ sq_norms - rows @ np.sum(targets ** 2, axis=1))
     return _LeastSquaresForm(rows, targets, form.biased, offset)
 
 

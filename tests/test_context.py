@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,15 @@ class TestFiniteContext:
     def test_positive_marginal_required(self):
         with pytest.raises(ValueError, match="strictly positive"):
             FiniteContext(np.eye(2), DiscreteDistribution(np.array([1.0, 0.0])))
+
+    # a shared support indexes context columns by input row (as
+    # subsample_support does), which fails or drops columns off the square
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 5)])
+    def test_shared_support_must_be_square(self, shape):
+        rows = np.ones(shape)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            FiniteContext(rows, DiscreteDistribution.uniform(shape[0]),
+                          same_support=True)
 
 
 class TestKnn:

@@ -316,7 +316,8 @@ class TestRatioTrace:
         rng = np.random.default_rng(9)
         values = rng.standard_normal((30, 3))
         base = ratio_trace(SampleEncoder(values, "input", ctx.input_marginal), ctx)
-        for scale in (1e4, 1e6):
+        # the last scaling spreads the column norms over six decades
+        for scale in (1e4, 1e6, np.array([1e6, 1.0, 1.0])):
             enc = SampleEncoder(scale * values, "input", ctx.input_marginal)
             assert abs(ratio_trace(enc, ctx) - base) < 1e-10 * base
 
@@ -423,6 +424,14 @@ class TestFisherDiscriminant:
             enc = SampleEncoder(scale * values, "input", ctx.input_marginal)
             assert abs(fisher_discriminant(enc, ctx) - base) < 1e-10 * base
 
+    def test_repeated_column_adds_nothing(self):
+        ctx = dense_context(9, 30, 20)
+        values = np.random.default_rng(9).standard_normal((30, 2))
+        base = fisher_discriminant(
+            SampleEncoder(values, "input", ctx.input_marginal), ctx)
+        enc = SampleEncoder(values[:, [0, 1, 0]], "input", ctx.input_marginal)
+        assert abs(fisher_discriminant(enc, ctx) - base) < 1e-10 * base
+
     def test_annihilated_encoder_scores_zero(self, independent_context):
         rng = np.random.default_rng(18)
         enc = SampleEncoder(rng.standard_normal((4, 2)), "input",
@@ -447,6 +456,10 @@ class TestCcaAlignment:
         mixer = np.array([[2.0, 0.1, 0.0], [0.0, 1.0, -0.4], [0.3, 0.0, 1.5]])
         mixed = SampleEncoder(enc.values @ mixer, "input", marg)
         assert abs(cca_alignment(enc, mixed, marg) - 1.0) < 1e-8
+        # the same columns, or the same span with a column repeated
+        repeated = SampleEncoder(enc.values[:, [0, 1, 2, 0]], "input", marg)
+        for other in (enc, repeated):
+            assert abs(cca_alignment(other, enc, marg) - 1.0) < 1e-14
 
     def test_orthogonal_encoders_score_zero(self):
         spec = synthetic_spectrum([0.9, 0.8, 0.7, 0.6], n=12, seed=21)

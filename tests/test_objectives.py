@@ -11,6 +11,7 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
 from contexture._linalg import (principal_angle_cosines, weighted_cov,
                                 weighted_norm)
 from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
+                                   _least_squares_form, _resolve_aux,
                                    _sandwiched_operator)
 
 
@@ -89,6 +90,26 @@ class TestSandwichedOperator:
             ref = self._definition(kind, ctx, aux)
             assert op.shape == ref.shape
             assert np.linalg.norm(op - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", [k for k in ObjectiveKind
+                                      if _FORMS[k].kernel is not None])
+    def test_absent_aux_is_one_hot_without_a_product(self, kind):
+        rng = np.random.default_rng(12)
+        ctx = FiniteContext(rng.dirichlet(np.ones(7), size=9),
+                            DiscreteDistribution(rng.dirichlet(np.ones(9))))
+        before = ctx.conditional.copy()
+        ls = _least_squares_form(kind, ctx, _resolve_aux(kind, ctx, None))
+        one_hot = _least_squares_form(kind, ctx, np.eye(ls.targets.shape[1]))
+        assert np.array_equal(ls.targets, one_hot.targets)
+        assert ls.offset == one_hot.offset
+        # input-support targets alias the conditional, so the solvers and
+        # the loss must leave it untouched
+        aliased = _FORMS[kind].support == "input"
+        assert np.shares_memory(ls.targets, ctx.conditional) == aliased
+        enc = solve_spectral(kind, ctx, 2)
+        eval_objective(kind, ctx, enc)
+        solve_variational(kind, ctx, 2, VariationalOptions(steps=5))
+        assert np.array_equal(ctx.conditional, before)
 
 
 class TestSolveSpectral:
