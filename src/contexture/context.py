@@ -155,12 +155,17 @@ class FiniteContext:
 # raw conditional builders (full N x N, before support restriction)
 # ---------------------------------------------------------------------------
 
-def _knn_conditional(points: np.ndarray, k: int) -> np.ndarray:
-    n = points.shape[0]
+def _knn_index(points: np.ndarray, k: int) -> np.ndarray:
+    """Each point's k nearest other points, ties to the lower index."""
     dists = sq_dists(points, points)
     np.fill_diagonal(dists, np.inf)
+    return nearest(dists, k)
+
+
+def _knn_conditional(points: np.ndarray, k: int) -> np.ndarray:
+    n = points.shape[0]
     q_mat = np.zeros((n, n))
-    q_mat[np.repeat(np.arange(n), k), nearest(dists, k).ravel()] = 1.0 / k
+    q_mat[np.repeat(np.arange(n), k), _knn_index(points, k).ravel()] = 1.0 / k
     return q_mat
 
 
@@ -172,21 +177,28 @@ def _rbf_conditional(points: np.ndarray, gamma: float) -> np.ndarray:
     return q_mat / q_mat.sum(axis=1, keepdims=True)
 
 
-def _base_conditional(points: np.ndarray, kind: str, param) -> np.ndarray:
-    """Raw conditional of a base kind, after checking its parameter.
+def _base_param(n: int, kind: str, param) -> int | float:
+    """A base kind's parameter for n points, checked and typed.
 
     ``knn`` takes k in [1, n - 1]; ``rbf`` takes a positive finite gamma.
     """
-    n = points.shape[0]
     if kind == "knn":
         if not 1 <= param <= n - 1:
             raise ValueError(f"k must be in [1, {n - 1}], got {param}")
-        return _knn_conditional(points, int(param))
+        return int(param)
     if kind == "rbf":
         if not (param > 0 and np.isfinite(param)):
             raise ValueError(f"gamma must be a positive real, got {param}")
-        return _rbf_conditional(points, float(param))
+        return float(param)
     raise ValueError(f"unknown base builder {kind!r} (expected knn or rbf)")
+
+
+def _base_conditional(points: np.ndarray, kind: str, param) -> np.ndarray:
+    """Raw conditional of a base kind, after checking its parameter."""
+    param = _base_param(points.shape[0], kind, param)
+    if kind == "knn":
+        return _knn_conditional(points, param)
+    return _rbf_conditional(points, param)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +233,13 @@ def build_masked_context(points: PointSet, base: tuple[str, float],
     features drawn without replacement; masks are drawn independently of
     each other, so a feature may be masked in several of them.
     Deterministic in ``seed``.
+
+    All masks are drawn first and each distinct surviving subset is built
+    once, so the build cost scales with the number of distinct subsets,
+    at most C(p, round(mask_fraction * p)), not with ``n_masks``. A kNN
+    mixture is bitwise the mask-by-mask average; an RBF one adds each
+    subset's conditional times its mask count, which differs from adding
+    it once per mask only in roundoff.
     """
     kind, param = base
     if n_masks < 1:
@@ -232,17 +251,31 @@ def build_masked_context(points: PointSet, base: tuple[str, float],
     if n_masked >= p:
         raise ValueError(
             f"mask_fraction={mask_fraction} removes all {p} features")
-    rng = np.random.default_rng(seed)
     n = points.n_points
-    accum = np.zeros((n, n))
+    checked = _base_param(n, kind, param)
+    rng = np.random.default_rng(seed)
+    # surviving feature subset -> number of masks that leave it
+    subsets: dict[tuple[int, ...], int] = {}
     for _ in range(n_masks):
         masked = rng.choice(p, size=n_masked, replace=False)
-        if n_masked == 0:
-            surviving = points.points
+        keep = tuple(np.setdiff1d(np.arange(p), masked).tolist())
+        subsets[keep] = subsets.get(keep, 0) + 1
+    accum = np.zeros((n, n))
+    for keep, count in subsets.items():
+        surviving = np.ascontiguousarray(points.points[:, list(keep)])
+        if kind == "knn":
+            rows = np.repeat(np.arange(n), checked)
+            cols = _knn_index(surviving, checked).ravel()
+            # every nonzero term of an entry's per-mask sum is the same 1/k
+            # and adding 0.0 is exact, so adding 1/k once per mask, subset
+            # by subset, gives the bits of the mask-by-mask dense sum
+            for _ in range(count):
+                accum[rows, cols] += 1.0 / checked
         else:
-            keep = np.setdiff1d(np.arange(p), masked)
-            surviving = np.ascontiguousarray(points.points[:, keep])
-        accum += _base_conditional(surviving, kind, param)
+            conditional = _rbf_conditional(surviving, checked)
+            conditional *= count
+            accum += conditional
+            del conditional  # not held while the next subset is built
     label = f"{kind}+mask:{param:g}:{mask_fraction:g}:{n_masks}"
     return FiniteContext(accum / n_masks, DiscreteDistribution.uniform(n),
                          label=label, same_support=True)

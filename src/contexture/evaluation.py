@@ -366,17 +366,20 @@ def trace_gap_bound(enc: SampleEncoder, ctx: FiniteContext,
     The true trace gap is an infimum over function families and is not
     computed; ``gap_upper`` substitutes the encoder's own ratio trace,
     which upper-bounds it. The error bound is finite only when the
-    surrogate stays below the top nontrivial singular value.
+    surrogate stays below the top nontrivial singular value. The sum of
+    squared singular values is sized by the rank of the encoder's centred
+    span, so a dependent column changes neither result.
     """
     s = spec.nontrivial_values
     s1 = float(s[0]) if s.size else 0.0
     if epsilon <= 1.0 - s1:
         raise ValueError(f"epsilon must exceed 1 - s_1 = {1.0 - s1}")
-    d = enc.d
-    sq = np.zeros(d + 1)
-    take = min(s.size, d + 1)
+    cov = _basis_covariances(enc, ctx)
+    rank = cov.c_phi.shape[0]
+    sq = np.zeros(rank + 1)
+    take = min(s.size, rank + 1)
     sq[:take] = s[:take] ** 2
-    gap_upper = float(np.sum(sq)) - ratio_trace(enc, ctx)
+    gap_upper = float(np.sum(sq)) - float(np.trace(cov.b_phi))
     if gap_upper < s1:
         err_bound = (s1 ** 2 - (1.0 - epsilon) ** 2 + s1 * gap_upper) / (
             s1 ** 2 - gap_upper ** 2)

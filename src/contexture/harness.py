@@ -234,14 +234,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     per_context, failures = [], []
     for ci, descriptor in enumerate(config.context_grid):
-        try:
-            entry = _evaluate_context(descriptor, ci, config, pre_set, feats,
-                                      idx_down, idx_test, y_norm)
+        entry, failure = _evaluate_context(descriptor, ci, config, pre_set,
+                                           feats, idx_down, idx_test, y_norm)
+        if failure is None:
             per_context.append(entry)
-        except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
-            # per-context failures are data; resource errors propagate
-            failures.append({"descriptor": descriptor, "error": str(exc),
-                             "type": type(exc).__name__})
+        else:
+            failures.append(failure)
 
     # perfectly associated contexts have divergent tau; they stay in the
     # per-context table but cannot enter a finite correlation
@@ -268,32 +266,42 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _evaluate_context(descriptor, ci, config, pre_set, feats,
-                      idx_down, idx_test, y_norm) -> dict:
-    ctx = build_from_descriptor(descriptor, pre_set,
-                                seed=_context_seed(config.seed, ci))
-    spec = contexture_svd(ctx)
-    s_nontrivial = spec.nontrivial_values
-    frag = usefulness_metric(s_nontrivial, d0=config.d0, beta=config.beta)
+def _evaluate_context(descriptor, ci, config, pre_set, feats, idx_down,
+                      idx_test, y_norm) -> tuple[dict | None, dict | None]:
+    """Score one context: ``(entry, None)``, or ``(None, failure)`` when a
+    typed numerical error stops its ``build``, ``spectrum`` or ``probe``
+    stage. Resource errors propagate."""
+    stage = "build"
     try:
-        rate = decay_rate(s_nontrivial)
-    except ValueError:
-        rate = None
+        ctx = build_from_descriptor(descriptor, pre_set,
+                                    seed=_context_seed(config.seed, ci))
+        stage = "spectrum"
+        spec = contexture_svd(ctx)
+        s_nontrivial = spec.nontrivial_values
+        frag = usefulness_metric(s_nontrivial, d0=config.d0, beta=config.beta)
+        try:
+            rate = decay_rate(s_nontrivial)
+        except ValueError:
+            rate = None
 
-    avail = s_nontrivial.size
-    err_curve = []
-    for d in config.d_grid:
-        if d > avail:
-            continue
-        enc_pre = spec.left_functions[:, 1:d + 1]
-        emb_down = extend_encoder(pre_set.points, enc_pre, feats[idx_down])
-        emb_test = extend_encoder(pre_set.points, enc_pre, feats[idx_test])
-        probe = fit_linear_probe((emb_down, y_norm[idx_down]),
-                                 (emb_test, y_norm[idx_test]),
-                                 config.ridge_grid, seed=config.seed)
-        err_curve.append([int(d), float(probe.test_mse)])
-    if not err_curve:
-        raise ValueError(f"no usable embedding dimension for {descriptor}")
+        stage = "probe"
+        avail = s_nontrivial.size
+        err_curve = []
+        for d in config.d_grid:
+            if d > avail:
+                continue
+            enc_pre = spec.left_functions[:, 1:d + 1]
+            emb_down = extend_encoder(pre_set.points, enc_pre, feats[idx_down])
+            emb_test = extend_encoder(pre_set.points, enc_pre, feats[idx_test])
+            probe = fit_linear_probe((emb_down, y_norm[idx_down]),
+                                     (emb_test, y_norm[idx_test]),
+                                     config.ridge_grid, seed=config.seed)
+            err_curve.append([int(d), float(probe.test_mse)])
+        if not err_curve:
+            raise ValueError(f"no usable embedding dimension for {descriptor}")
+    except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
+        return None, {"descriptor": descriptor, "error": str(exc),
+                      "stage": stage, "type": type(exc).__name__}
     err_d_star = min(e for _, e in err_curve)
     return {
         "descriptor": descriptor,
@@ -303,7 +311,7 @@ def _evaluate_context(descriptor, ci, config, pre_set, feats,
         "decay_rate": rate,
         "err_d": err_curve,
         "err_d_star": float(err_d_star),
-    }
+    }, None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         build_knn_context, build_label_context,
                         build_masked_context, build_rbf_context,
                         parse_descriptor)
-from contexture.context import _rbf_conditional
+from contexture.context import _base_conditional, _rbf_conditional
 
 
 def line_points(*xs):
@@ -158,9 +158,10 @@ class TestMasked:
 
     def test_seeded_rerun_is_bit_exact(self):
         pts = PointSet(np.random.default_rng(3).normal(size=(8, 10)))
-        a = build_masked_context(pts, ("knn", 3), 0.2, 50, seed=123)
-        b = build_masked_context(pts, ("knn", 3), 0.2, 50, seed=123)
-        assert np.array_equal(a.conditional, b.conditional)
+        for base in (("knn", 3), ("rbf", 0.3)):
+            a = build_masked_context(pts, base, 0.2, 50, seed=123)
+            b = build_masked_context(pts, base, 0.2, 50, seed=123)
+            assert np.array_equal(a.conditional, b.conditional)
 
     def test_all_features_masked_is_error(self):
         pts = PointSet(np.random.default_rng(4).normal(size=(5, 4)))
@@ -190,6 +191,77 @@ class TestMasked:
         with pytest.raises(ValueError) as raised:
             build_masked_context(pts, base, 0.2, 3, seed=0)
         assert str(raised.value) == str(expected.value)
+
+
+def per_mask_oracle(points, base, mask_fraction, n_masks, seed):
+    """The mask-by-mask mixture: one base build per drawn mask, summed in
+    draw order, whatever subsets repeat."""
+    p = points.n_features
+    n_masked = int(round(mask_fraction * p))
+    rng = np.random.default_rng(seed)
+    accum = np.zeros((points.n_points, points.n_points))
+    for _ in range(n_masks):
+        masked = rng.choice(p, size=n_masked, replace=False)
+        keep = np.setdiff1d(np.arange(p), masked)
+        accum += _base_conditional(
+            np.ascontiguousarray(points.points[:, keep]), *base)
+    return FiniteContext(accum / n_masks,
+                         DiscreteDistribution.uniform(points.n_points),
+                         same_support=True)
+
+
+@st.composite
+def grid_masking(draw):
+    """Small-integer grid points (distance ties, duplicate rows), a mask
+    fraction removing anywhere from none to all but one feature, and a
+    mask count and seed."""
+    n = draw(st.integers(3, 12))
+    p = draw(st.integers(1, 5))
+    coords = draw(st.lists(st.integers(0, 2), min_size=n * p,
+                           max_size=n * p))
+    points = PointSet(np.array(coords, dtype=float).reshape(n, p))
+    n_masked = draw(st.integers(0, p - 1))
+    # up to 40 masks, so a subset recurs often enough that summing its
+    # 1/k terms one by one and multiplying by the count differ in roundoff
+    return (points, n_masked / p, draw(st.integers(1, 40)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestMaskedAgainstPerMaskLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(grid_masking(), st.data())
+    def test_knn_is_bitwise_the_loop(self, masking, data):
+        points, frac, n_masks, seed = masking
+        k = data.draw(st.integers(1, points.n_points - 1))
+        ctx = build_masked_context(points, ("knn", k), frac, n_masks, seed)
+        ref = per_mask_oracle(points, ("knn", k), frac, n_masks, seed)
+        assert np.array_equal(ctx.conditional, ref.conditional)
+        assert np.array_equal(ctx.context_ids, ref.context_ids)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_masking(), st.floats(0.05, 5.0))
+    def test_rbf_matches_the_loop(self, masking, gamma):
+        points, frac, n_masks, seed = masking
+        ctx = build_masked_context(points, ("rbf", gamma), frac, n_masks, seed)
+        ref = per_mask_oracle(points, ("rbf", gamma), frac, n_masks, seed)
+        np.testing.assert_allclose(ctx.conditional, ref.conditional,
+                                   rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_masking(), st.data())
+    def test_one_mask_is_the_plain_builder(self, masking, data):
+        points, frac, _, seed = masking
+        k = data.draw(st.integers(1, points.n_points - 1))
+        gamma = data.draw(st.floats(0.05, 5.0))
+        p = points.n_features
+        masked = np.random.default_rng(seed).choice(
+            p, size=int(round(frac * p)), replace=False)
+        drawn = PointSet(points.points[:, np.setdiff1d(np.arange(p), masked)])
+        for base, plain in ((("knn", k), build_knn_context(drawn, k)),
+                            (("rbf", gamma), build_rbf_context(drawn, gamma))):
+            ctx = build_masked_context(points, base, frac, 1, seed)
+            assert np.array_equal(ctx.conditional, plain.conditional)
+            assert np.array_equal(ctx.context_ids, plain.context_ids)
 
 
 class TestLabel:

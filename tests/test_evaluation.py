@@ -11,6 +11,7 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         trace_gap_bound, usefulness_metric, worst_case_err)
 from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
 from contexture.spectral import ContextureSpectrum
+from contexture.verify import random_dense_context
 
 
 def synthetic_spectrum(values, n=8, seed=0):
@@ -355,6 +356,21 @@ class TestTraceGapBound:
         gap, bound = trace_gap_bound(enc, ctx, spec, epsilon=1 - s[0] + 0.05)
         # missing the top mode costs exactly its squared singular value
         assert abs(gap - s[0] ** 2) < 1e-10
+
+    def test_repeated_column_adds_nothing(self):
+        # the singular-value sum follows the span's rank, not the column
+        # count: [v1, v2, v1] used to add s_4^2 (gap 0.299, not 0.196)
+        ctx = random_dense_context(np.random.default_rng(11), 10, 8)
+        spec = contexture_svd(ctx)
+        s = spec.nontrivial_values
+        eps = 1 - s[0] + 0.05
+        v = spec.left_functions
+        results = [trace_gap_bound(SampleEncoder(v[:, cols], "input",
+                                                 ctx.input_marginal),
+                                   ctx, spec, epsilon=eps)
+                   for cols in ([1, 2], [1, 2, 1])]
+        np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
+        assert abs(results[0][0] - s[2] ** 2) < 1e-10
 
     def test_epsilon_hypothesis_enforced(self):
         ctx = dense_context(13, 8, 6)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contexture import (ExperimentConfig, load_config, load_dataset,
-                        run_experiment, split_dataset, verify_theorems,
-                        write_report)
+from contexture import (ExperimentConfig, NumericalError, contexture_svd,
+                        load_config, load_dataset, run_experiment,
+                        split_dataset, verify_theorems, write_report)
 from contexture.datasets import make_planted, make_waves
 from contexture.harness import (default_context_grid, extend_encoder,
                                 zscore_by_reference)
@@ -244,18 +244,35 @@ class TestRunExperiment:
         assert by_desc["rbf:0.5"]["err_d_star"] == min(
             e["err_d_star"] for e in report["per_context"])
 
-    def test_failures_recorded_not_fatal(self, tmp_path):
+    def test_failures_recorded_not_fatal(self, tmp_path, monkeypatch):
+        import contexture.harness as harness_mod
+
+        def svd_fails_on_rbf7(ctx, rank=None):
+            if ctx.label == "rbf:7":
+                raise NumericalError("simulated SVD breakdown")
+            return contexture_svd(ctx, rank=rank)
+
+        monkeypatch.setattr(harness_mod, "contexture_svd", svd_fails_on_rbf7)
         path = tmp_path / "waves.csv"
         make_waves(path, n=60)
         cfg = ExperimentConfig(
             dataset_path=str(path), target_column="y",
-            context_grid=["rbf:0.5", "knn:5000", "knn+mask:0:0.2:3", "knn:3"],
+            context_grid=["rbf:0.5", "knn:5000", "knn+mask:0:0.2:3", "rbf:7",
+                          "knn:3"],
             ridge_grid=[1e-3], d_grid=[1, 2], d0=8, seed=0)
         report = run_experiment(cfg)
-        assert [(f["descriptor"], f["type"]) for f in report["failures"]] == [
-            ("knn:5000", "ValueError"), ("knn+mask:0:0.2:3", "ValueError")]
+        assert [(f["descriptor"], f["stage"], f["type"])
+                for f in report["failures"]] == [
+            ("knn:5000", "build", "ValueError"),
+            ("knn+mask:0:0.2:3", "build", "ValueError"),
+            ("rbf:7", "spectrum", "NumericalError")]
         assert [e["descriptor"] for e in report["per_context"]] == [
             "rbf:0.5", "knn:3"]
+        # 42 pretrain rows give 41 nontrivial singular values, below every d
+        report = run_experiment(dataclasses.replace(
+            cfg, context_grid=["knn:3"], d_grid=[50]))
+        assert [(f["stage"], f["error"]) for f in report["failures"]] == [
+            ("probe", "no usable embedding dimension for knn:3")]
 
     def test_resource_errors_propagate(self, tmp_path, monkeypatch):
         import contexture.harness as harness_mod
