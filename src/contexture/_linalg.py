@@ -60,6 +60,21 @@ def nearest(dists: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def knn_index(points: np.ndarray, k: int) -> np.ndarray:
+    """Each point's k nearest other points, ties to the lower index."""
+    dists = sq_dists(points, points)
+    np.fill_diagonal(dists, np.inf)
+    return nearest(dists, k)
+
+
+def top_eigenpairs(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the symmetrised ``mat``, descending, and
+    their eigenvectors as C-ordered columns."""
+    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    # C order: downstream BLAS products round differently by memory layout
+    return evals[::-1][:k], np.ascontiguousarray(evecs[:, ::-1][:, :k])
+
+
 def fix_signs(columns: np.ndarray, *paired: np.ndarray) -> None:
     """Flip columns in place so each one's largest-magnitude entry is positive.
 
@@ -111,14 +126,18 @@ def whiten_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return centered @ sym_inv_sqrt(weighted_cov(values, weights))
 
 
+def span_svd(values: np.ndarray, weights: np.ndarray):
+    """Thin SVD ``(u, s, vt)`` of ``sqrt(weights) * values``, cut at its
+    numerical rank; an all-zero span keeps no singular triplet."""
+    scaled = np.sqrt(weights)[:, None] * values
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    keep = s > _RANK_REL_TOL * s[:1]
+    return u[:, keep], s[keep], vt[keep]
+
+
 def orthonormal_basis(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Orthonormal basis (in the weighted inner product) of the column span."""
-    scaled = np.sqrt(weights)[:, None] * values
-    u, s, _ = np.linalg.svd(scaled, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((values.shape[0], 0))
-    keep = s > _RANK_REL_TOL * s[0]
-    return u[:, keep] / np.sqrt(weights)[:, None]
+    return span_svd(values, weights)[0] / np.sqrt(weights)[:, None]
 
 
 def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
@@ -133,8 +152,6 @@ def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
         b = weighted_center(b, weights)
     qa = np.sqrt(weights)[:, None] * orthonormal_basis(a, weights)
     qb = np.sqrt(weights)[:, None] * orthonormal_basis(b, weights)
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return np.zeros(0)
     cos = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.clip(cos, 0.0, 1.0)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import nearest, sq_dists
+from ._linalg import knn_index, sq_dists
 
 # largest |w - w^T| entry a graph adjacency may have
 GRAPH_SYMMETRY_ATOL = 1e-10
@@ -155,17 +155,10 @@ class FiniteContext:
 # raw conditional builders (full N x N, before support restriction)
 # ---------------------------------------------------------------------------
 
-def _knn_index(points: np.ndarray, k: int) -> np.ndarray:
-    """Each point's k nearest other points, ties to the lower index."""
-    dists = sq_dists(points, points)
-    np.fill_diagonal(dists, np.inf)
-    return nearest(dists, k)
-
-
 def _knn_conditional(points: np.ndarray, k: int) -> np.ndarray:
     n = points.shape[0]
     q_mat = np.zeros((n, n))
-    q_mat[np.repeat(np.arange(n), k), _knn_index(points, k).ravel()] = 1.0 / k
+    q_mat[np.repeat(np.arange(n), k), knn_index(points, k).ravel()] = 1.0 / k
     return q_mat
 
 
@@ -265,7 +258,7 @@ def build_masked_context(points: PointSet, base: tuple[str, float],
         surviving = np.ascontiguousarray(points.points[:, list(keep)])
         if kind == "knn":
             rows = np.repeat(np.arange(n), checked)
-            cols = _knn_index(surviving, checked).ravel()
+            cols = knn_index(surviving, checked).ravel()
             # every nonzero term of an entry's per-mask sum is the same 1/k
             # and adding 0.0 is exact, so adding 1/k once per mask, subset
             # by subset, gives the bits of the mask-by-mask dense sum

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fix_signs, sym_inv_sqrt, weighted_cov, weighted_norm
+from ._linalg import (fix_signs, sym_inv_sqrt, top_eigenpairs, weighted_cov,
+                      weighted_norm)
 from .context import DiscreteDistribution, FiniteContext
 from .objectives import SampleEncoder
 from .spectral import adjoint_matrix
@@ -102,12 +103,8 @@ def estimate_spectrum_posthoc(enc: SampleEncoder, cov: CovariancePair,
     reg = cov.c_phi + 1e-10 * np.trace(cov.c_phi) * np.eye(d)
     half = sym_inv_sqrt(reg)
     core = half @ cov.b_phi @ half
-    # eigh returns ascending eigenvalues, so the top ones are the last reversed
-    evals, evecs = np.linalg.eigh(0.5 * (core + core.T))
-    eigenvalues = evals[::-1][:top]
-    # Fortran order: BLAS products round differently by memory layout
-    directions = half @ np.asfortranarray(evecs[:, ::-1][:, :top])
-    funcs = enc.centered() @ directions
+    eigenvalues, evecs = top_eigenpairs(core, top)
+    funcs = enc.centered() @ (half @ evecs)
     w = enc.marginal.weights
     for j in range(funcs.shape[1]):
         scale = weighted_norm(funcs[:, j], w)

@@ -9,9 +9,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._linalg import (as_native, golden_section_min, nearest,
-                      orthonormal_basis, principal_angle_cosines, sq_dists,
-                      weighted_norm, whiten_columns)
+from ._linalg import (as_native, golden_section_min, knn_index,
+                      orthonormal_basis, principal_angle_cosines, span_svd,
+                      sq_dists, weighted_norm)
 from .context import DiscreteDistribution, FiniteContext, PointSet
 from .errors import NumericalError
 from .estimation import CovariancePair, estimate_covariances
@@ -279,10 +279,7 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
                          f"got {lipschitz_sample}")
     if lipschitz_sample > n:
         raise ValueError("lipschitz_sample must not exceed the support size")
-    if lipschitz_sample == n:
-        idx = np.arange(n)
-    else:
-        idx = np.unique(np.round(np.linspace(0, n - 1, lipschitz_sample)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, n - 1, lipschitz_sample)).astype(int))
     # row a holds kernel column a, so the gap between points a and b is the
     # max-abs distance between rows a and b; scanned in strips of anchors
     # against every later point, each strip filled tile by tile
@@ -450,10 +447,9 @@ def cca_alignment(enc1: SampleEncoder, enc2: SampleEncoder,
 
 
 def mutual_knn(enc1: SampleEncoder, enc2: SampleEncoder, k: int) -> float:
-    """Mean intersection-over-union of k-nearest-neighbor sets.
-
-    Both encoders are centered and whitened under their marginals first.
-    """
+    """Mean intersection-over-union of k-nearest-neighbor sets, taken on
+    each encoder's centred span (the one ``cca_alignment`` compares), so a
+    dependent column adds nothing."""
     n = enc1.values.shape[0]
     if enc2.values.shape[0] != n:
         raise ValueError("encoders must share a support")
@@ -461,10 +457,13 @@ def mutual_knn(enc1: SampleEncoder, enc2: SampleEncoder, k: int) -> float:
         raise ValueError(f"k must be in [1, {n - 1}]")
     sets = []
     for enc in (enc1, enc2):
-        white = whiten_columns(enc.values, enc.marginal.weights)
-        dists = sq_dists(white, white)
-        np.fill_diagonal(dists, np.inf)  # a point is not its own neighbor
-        sets.append([set(row) for row in nearest(dists, k).tolist()])
+        _, s, vt = span_svd(enc.centered(), enc.marginal.weights)
+        if s.size == 0:
+            raise ValueError("zero-variance encoder; neighbors undefined")
+        # s[0] * orthonormal_basis plus a constant shift, so the same
+        # neighbors; a single column is scaled by exactly +-1, keeping ties
+        coords = enc.values @ (vt.T * (s[0] / s))
+        sets.append([set(row) for row in knn_index(coords, k).tolist()])
     scores = [len(s1 & s2) / len(s1 | s2) for s1, s2 in zip(*sets)]
     return float(np.mean(scores))
 

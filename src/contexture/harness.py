@@ -275,6 +275,9 @@ def _evaluate_context(descriptor, ci, config, pre_set, feats, idx_down,
     try:
         ctx = build_from_descriptor(descriptor, pre_set,
                                     seed=_context_seed(config.seed, ci))
+        if ctx.n_inputs != pre_set.n_points:  # inputs are the pretrain rows
+            raise ValueError(f"{descriptor} has {ctx.n_inputs} inputs, not "
+                             f"the {pre_set.n_points} pretrain rows")
         stage = "spectrum"
         spec = contexture_svd(ctx)
         s_nontrivial = spec.nontrivial_values

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import (fix_signs, weighted_center, weighted_cov,
-                      weighted_mean, whiten_columns)
+from ._linalg import (fix_signs, top_eigenpairs, weighted_center,
+                      weighted_cov, weighted_mean, whiten_columns)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError
 from .spectral import adjoint_matrix, contexture_svd
@@ -199,22 +199,6 @@ def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
     return aux
 
 
-def _top_weighted_eigenfunctions(op_core: np.ndarray, weights: np.ndarray,
-                                 d: int) -> np.ndarray:
-    """Top eigenfunctions of a weights-self-adjoint operator.
-
-    ``op_core`` must be the symmetric whitened matrix; returns d columns
-    orthonormal under the weighting distribution, descending eigenvalues.
-    """
-    sym = 0.5 * (op_core + op_core.T)
-    # eigh returns ascending eigenvalues, so the top d are the last d reversed
-    _, evecs = np.linalg.eigh(sym)
-    # C order: downstream BLAS products round differently by memory layout
-    top = np.ascontiguousarray(evecs[:, ::-1][:, :d] / np.sqrt(weights)[:, None])
-    fix_signs(top)
-    return top
-
-
 def solve_spectral(objective, ctx: FiniteContext, d: int,
                    aux: np.ndarray | None = None) -> SampleEncoder:
     """Closed-form minimizer of a pretraining objective.
@@ -246,8 +230,10 @@ def solve_spectral(objective, ctx: FiniteContext, d: int,
         return SampleEncoder(values, form.support, marginal)
     if d > len(marginal):
         raise ValueError(f"d={d} exceeds the {form.support} support size")
-    funcs = _top_weighted_eigenfunctions(
-        _sandwiched_operator(objective, ctx, aux), marginal.weights, d)
+    # eigenvectors of the whitened operator, as weighted-orthonormal functions
+    _, evecs = top_eigenpairs(_sandwiched_operator(objective, ctx, aux), d)
+    funcs = evecs / np.sqrt(marginal.weights)[:, None]
+    fix_signs(funcs)
     return SampleEncoder(funcs, form.support, marginal)
 
 

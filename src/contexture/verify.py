@@ -177,14 +177,17 @@ def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
     """Residuals for the worst-case error formula.
 
     Returns (formula vs two-mode brute force, max shortfall of the
-    constructive witness against the formula over random encoders).
+    constructive witness against the formula over random encoders), on
+    a context with a top gap; raises after ``TRIES`` draws without one.
     """
-    while True:
+    for _ in range(TRIES):
         ctx = random_dense_context(rng, n, m, concentration=0.35)
         spec = contexture_svd(ctx)
         s = spec.nontrivial_values
         if s.size > d and s[0] - s[1] > 0.05 and s[d] < s[0] - 0.05 and s[0] > 0.2:
             break
+    else:
+        raise NumericalError(f"no top-gap context found after {TRIES} tries")
     s1 = float(s[0])
     lo = 1.0 - s1
     hi = 1.0 - np.sqrt((s1 ** 2 + float(s[1]) ** 2) / 2.0)
@@ -192,7 +195,7 @@ def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
     formula = worst_case_err(spec, d, eps)
 
     # two-mode family: mass b on mode d+1, constrained to compatibility >= 1-eps
-    s_next = float(s[d]) if d < s.size else 0.0
+    s_next = float(s[d])
     b_grid = np.linspace(0.0, 1.0, WORSTCASE_GRID)
     rho_sq = s1 ** 2 * (1 - b_grid) + s_next ** 2 * b_grid
     feasible = b_grid[rho_sq >= (1.0 - eps) ** 2]
@@ -268,7 +271,7 @@ def context_checks(rng, n, m, trials) -> list[dict]:
         labels = rng.integers(0, 3, size=n)
         mask_seed = int(rng.integers(2 ** 31))
         built = [
-            build_knn_context(pts, k=min(3, n - 1)),
+            build_knn_context(pts, k=3),
             build_rbf_context(pts, gamma=float(rng.uniform(0.1, 2.0))),
             build_masked_context(pts, ("rbf", 0.5), 0.25, 4, mask_seed),
             build_label_context(labels) if np.unique(labels).size >= 2 else None,
@@ -533,10 +536,10 @@ def verify_theorems(n: int = 24, m: int = 20, trials: int = 3,
 
     Returns a structured report: one entry per named check with its worst
     observed residual and tolerance. Failures are report entries, never
-    exceptions.
+    exceptions. Sizes start at 4: objective checks need a gap after 2.
     """
-    if not (2 <= n <= 80 and 2 <= m <= 80):
-        raise ValueError("n and m must be in [2, 80]")
+    if not (4 <= n <= 80 and 4 <= m <= 80):
+        raise ValueError("n and m must be in [4, 80]")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     checks = []

@@ -170,6 +170,12 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("size", [["--n", "3"], ["--m", "2"]])
+def test_verify_below_four_is_a_usage_error(size, capsys):
+    assert main(["verify", *size, "--trials", "1"]) == 1
+    assert "[4, 80]" in capsys.readouterr().err
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["spectrum", "--context", "rbf:0.5"]) == 1  # missing args
     assert main(["metric", "--spectrum", "/nonexistent.json"]) == 1

@@ -523,6 +523,75 @@ class TestMutualKnn:
         with pytest.raises(ValueError):
             mutual_knn(enc, enc, k=4)
 
+    def test_repeated_column_adds_nothing(self):
+        # a dependent column leaves the centred span, and so CCA, unchanged
+        rng = np.random.default_rng(18)
+        marg = DiscreteDistribution.uniform(12)
+        v = rng.standard_normal((12, 2))
+        repeated = SampleEncoder(v[:, [0, 1, 0]], "input", marg)
+        plain = SampleEncoder(v, "input", marg)
+        assert abs(cca_alignment(repeated, plain, marg) - 1.0) < 1e-14
+        assert mutual_knn(repeated, plain, 3) == 1.0
+
+    def test_constant_encoder_rejected_as_by_cca(self):
+        marg = DiscreteDistribution.uniform(8)
+        flat = SampleEncoder(np.ones((8, 2)), "input", marg)
+        enc = SampleEncoder(np.arange(16.0).reshape(8, 2) ** 2, "input", marg)
+        for a, b in ((flat, enc), (enc, flat)):
+            with pytest.raises(ValueError, match="zero-variance"):
+                mutual_knn(a, b, 2)
+            with pytest.raises(ValueError, match="zero-variance"):
+                cca_alignment(a, b, marg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 59), d1=st.integers(1, 5), d2=st.integers(1, 5),
+           dirichlet=st.booleans(), seed=st.integers(0, 2 ** 31 - 1),
+           data=st.data())
+    def test_full_rank_matches_whitened_neighbors(self, n, d1, d2, dirichlet,
+                                                  seed, data):
+        k = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        marg = (DiscreteDistribution(rng.dirichlet(np.ones(n))) if dirichlet
+                else DiscreteDistribution.uniform(n))
+        a = SampleEncoder(rng.standard_normal((n, d1)), "input", marg)
+        b = SampleEncoder(rng.standard_normal((n, d2)), "input", marg)
+        assert mutual_knn(a, b, k) == _whitened_mutual_knn(a, b, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 30), levels=st.integers(2, 6),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_one_column_keeps_exact_ties(self, n, levels, seed, data):
+        # integer values on a uniform support: many exact distance ties,
+        # which must go to the lower index as in the raw-value enumeration
+        k = data.draw(st.integers(1, n - 1))
+        rng = np.random.default_rng(seed)
+        marg = DiscreteDistribution.uniform(n)
+        cols = rng.integers(0, levels, size=(n, 2)).astype(float)
+        cols[:2, :] = [[0.0, 0.0], [1.0, 1.0]]  # neither column constant
+        a, b = (SampleEncoder(cols[:, [j]], "input", marg) for j in (0, 1))
+        assert mutual_knn(a, b, k) == _mutual_knn_oracle(a.values, b.values, k)
+
+
+def _whitened_mutual_knn(enc1, enc2, k):
+    # mutual k-NN on the centred encoders whitened by the inverse square
+    # root of their covariance: a rotation of the centred-span coordinates
+    # for a full-rank encoder, so the same neighbors up to roundoff
+    def whiten(values, w):
+        centered = values - w @ values
+        cov = centered.T @ (w[:, None] * centered)
+        evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        assert evals[0] >= 1e-13 * evals[-1] > 0.0
+        return centered @ ((evecs / np.sqrt(evals)) @ evecs.T)
+
+    sets = []
+    for enc in (enc1, enc2):
+        white = whiten(enc.values, enc.marginal.weights)
+        dists = np.sum((white[:, None] - white[None]) ** 2, axis=2)
+        np.fill_diagonal(dists, np.inf)
+        order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        sets.append([set(row) for row in order.tolist()])
+    return float(np.mean([len(x & y) / len(x | y) for x, y in zip(*sets)]))
+
 
 def _mutual_knn_oracle(a, b, k):
     # independent brute force on whitened values (1-d whitening is affine

@@ -11,6 +11,7 @@ from contexture import (ExperimentConfig, NumericalError, contexture_svd,
 from contexture.datasets import make_planted, make_waves
 from contexture.harness import (default_context_grid, extend_encoder,
                                 zscore_by_reference)
+from contexture.verify import random_dense_context
 
 
 def write_csv(path, header, rows):
@@ -229,6 +230,42 @@ class TestVerifyTheorems:
         with pytest.raises(ValueError):
             verify_theorems(n=81, m=10, trials=1, seed=0)
 
+    @pytest.mark.parametrize("n, m", [(3, 10), (10, 2), (2, 2)])
+    def test_sizes_below_four_rejected_before_any_draw(self, n, m,
+                                                       monkeypatch):
+        # the objective checks need three nontrivial values, so these
+        # sizes fail before any context is drawn
+        import contexture.verify as verify_mod
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a context was drawn")
+
+        monkeypatch.setattr(verify_mod, "random_dense_context", no_draw)
+        with pytest.raises(ValueError, match=r"\[4, 80\]"):
+            verify_theorems(n=n, m=m, trials=1, seed=0)
+
+    def test_worstcase_draw_is_bounded(self, monkeypatch):
+        import contexture.verify as verify_mod
+
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(args[1:3])
+            return random_dense_context(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "random_dense_context", counted)
+        # a 2 x 2 context has one nontrivial value, never the needed gap
+        with pytest.raises(NumericalError, match=f"after {verify_mod.TRIES}"):
+            verify_mod.worstcase_residuals(np.random.default_rng(0), 2, 2)
+        assert draws == [(2, 2)] * verify_mod.TRIES
+
+    def test_smallest_sizes_return_a_report(self):
+        names = [c["name"] for c in
+                 verify_theorems(n=12, m=10, trials=1, seed=0)["checks"]]
+        for n, m in ((4, 4), (4, 80), (80, 4)):
+            report = verify_theorems(n=n, m=m, trials=1, seed=0)
+            assert [c["name"] for c in report["checks"]] == names
+
 
 class TestRunExperiment:
     def test_sweep_on_planted_dataset(self, tmp_path):
@@ -273,6 +310,28 @@ class TestRunExperiment:
             cfg, context_grid=["knn:3"], d_grid=[50]))
         assert [(f["stage"], f["error"]) for f in report["failures"]] == [
             ("probe", "no usable embedding dimension for knn:3")]
+
+    def test_graph_of_another_size_is_a_build_failure(self, tmp_path):
+        path = tmp_path / "waves.csv"
+        make_waves(path, n=60)  # 42 pretrain rows
+        grid = ["rbf:0.5"]
+        for nodes in (3, 42, 80):
+            adj = np.ones((nodes, nodes)) - np.eye(nodes)
+            np.savetxt(tmp_path / f"g{nodes}.csv", adj, delimiter=",")
+            grid.append(f"graph:{tmp_path / f'g{nodes}.csv'}")
+        grid.append("knn:3")
+        cfg = ExperimentConfig(
+            dataset_path=str(path), target_column="y", context_grid=grid,
+            ridge_grid=[1e-3], d_grid=[1, 2], d0=8, seed=0)
+        report = run_experiment(cfg)
+        assert [(f["descriptor"], f["stage"], f["type"], f["error"])
+                for f in report["failures"]] == [
+            (grid[1], "build", "ValueError",
+             f"{grid[1]} has 3 inputs, not the 42 pretrain rows"),
+            (grid[3], "build", "ValueError",
+             f"{grid[3]} has 80 inputs, not the 42 pretrain rows")]
+        assert [e["descriptor"] for e in report["per_context"]] == [
+            "rbf:0.5", grid[2], "knn:3"]
 
     def test_resource_errors_propagate(self, tmp_path, monkeypatch):
         import contexture.harness as harness_mod

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contexture import DiscreteDistribution, PointSet, kernel_association_measures
-from contexture._linalg import _DIST_BLOCK_ROWS, fix_signs, nearest, sq_dists
+from contexture._linalg import (_DIST_BLOCK_ROWS, fix_signs, knn_index, nearest,
+                                sq_dists, top_eigenpairs)
 from contexture.evaluation import _GAP_BLOCK
 from contexture.harness import extend_encoder
 
@@ -66,6 +67,39 @@ def test_nearest_equals_stable_argsort_for_every_k(n_rows, n_cols, levels,
     oracle = np.argsort(dists, axis=1, kind="stable")
     for k in range(1, n_cols + 1):
         assert np.array_equal(nearest(dists, k), oracle[:, :k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 30), p=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_knn_index_is_nearest_with_self_excluded(n, p, seed, data):
+    k = data.draw(st.integers(1, n - 1))
+    pts = grid_points(np.random.default_rng(seed), n, p)
+    got = knn_index(pts, k)
+    dists = sq_dists(pts, pts)
+    for i in range(n):
+        oracle = sorted((j for j in range(n) if j != i),
+                        key=lambda j: (dists[i, j], j))[:k]
+        assert got[i].tolist() == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 31 - 1),
+       repeated=st.booleans(), data=st.data())
+def test_top_eigenpairs_is_eigh_reversed_and_sliced(n, seed, repeated, data):
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    if repeated:  # a low-rank PSD matrix: a repeated zero eigenvalue
+        half = rng.integers(-2, 3, size=(n, max(1, n // 3))).astype(float)
+        mat = half @ half.T
+    else:  # roundoff-asymmetric, as a product sandwich comes out
+        mat = rng.standard_normal((n, n))
+        mat = mat @ np.diag(rng.uniform(0.1, 2.0, n)) @ mat.T
+    evals, evecs = top_eigenpairs(mat, k)
+    ref_vals, ref_vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    assert np.array_equal(evals, ref_vals[::-1][:k])
+    assert np.array_equal(evecs, ref_vecs[:, ::-1][:, :k])
+    assert evecs.flags.c_contiguous and evecs.shape == (n, k)
 
 
 @pytest.mark.parametrize("k", [0, -1, 6])

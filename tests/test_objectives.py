@@ -8,8 +8,8 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         cca_alignment, contexture_svd, eval_objective,
                         load_encoder, loss_kernel_matrix, save_encoder,
                         solve_spectral, solve_variational)
-from contexture._linalg import (principal_angle_cosines, weighted_cov,
-                                weighted_norm)
+from contexture._linalg import (fix_signs, principal_angle_cosines,
+                                weighted_cov, weighted_norm)
 from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
                                    _least_squares_form, _resolve_aux,
                                    _sandwiched_operator)
@@ -19,6 +19,17 @@ def channel_as_label_context():
     """Randomized 2-class labels matching the noisy channel conditional."""
     return FiniteContext(np.array([[0.9, 0.1], [0.1, 0.9]]),
                          DiscreteDistribution.uniform(2), same_support=False)
+
+
+def top_weighted_eigenfunctions(op_core, weights, d):
+    """The kernel-kind closed form as one function: top-d eigenvectors of
+    the symmetrised operator, descending, scaled to weighted-orthonormal
+    functions in C order, signs fixed."""
+    sym = 0.5 * (op_core + op_core.T)
+    _, evecs = np.linalg.eigh(sym)
+    top = np.ascontiguousarray(evecs[:, ::-1][:, :d] / np.sqrt(weights)[:, None])
+    fix_signs(top)
+    return top
 
 
 class TestLossKernelMatrix:
@@ -137,6 +148,27 @@ class TestSolveSpectral:
         assert abs(weighted_norm(phi, p) - 1.0) < 1e-8
         spec = contexture_svd(ctx)
         assert abs(spec.singular_values[1] - 0.5) < 1e-10
+
+    @pytest.mark.parametrize("aux_kind", ["none", "real", "grouped"])
+    @pytest.mark.parametrize("kind", [k for k in ObjectiveKind
+                                      if _FORMS[k].kernel is not None])
+    def test_kernel_kinds_bitwise_equal_to_eigenfunction_oracle(self, kind,
+                                                                aux_kind):
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 5):
+            ctx = FiniteContext(rng.dirichlet(np.ones(7), size=9),
+                                DiscreteDistribution(rng.dirichlet(np.ones(9))))
+            size = 7 if _FORMS[kind].support == "input" else 9
+            aux = {"none": None,
+                   "real": rng.standard_normal((size, 2)),
+                   "grouped": rng.integers(0, 3, (size, 1)).astype(float),
+                   }[aux_kind]
+            enc = solve_spectral(kind, ctx, d, aux)
+            weights = _FORMS[kind].marginals(ctx)[0].weights
+            oracle = top_weighted_eigenfunctions(
+                _sandwiched_operator(kind, ctx, aux), weights, d)
+            assert np.array_equal(enc.values, oracle)
+            assert enc.values.flags.c_contiguous
 
     def test_d_exceeding_rank(self, two_state):
         with pytest.raises(ValueError):
