@@ -126,18 +126,29 @@ def whiten_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return centered @ sym_inv_sqrt(weighted_cov(values, weights))
 
 
-def span_svd(values: np.ndarray, weights: np.ndarray):
+def span_svd(values: np.ndarray, weights: np.ndarray, center: bool = False):
     """Thin SVD ``(u, s, vt)`` of ``sqrt(weights) * values``, cut at its
-    numerical rank; an all-zero span keeps no singular triplet."""
-    scaled = np.sqrt(weights)[:, None] * values
+    numerical rank; an all-zero span keeps no singular triplet.
+
+    With ``center=True`` the columns are centred first and the cut is taken
+    relative to the uncentred values' top singular value: centring leaves
+    roundoff of that size, so a constant column keeps no span.
+    """
+    root = np.sqrt(weights)[:, None]
+    scaled = root * values
+    if center:
+        scale = np.linalg.norm(scaled, 2)
+        scaled = root * weighted_center(values, weights)
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    keep = s > _RANK_REL_TOL * s[:1]
+    keep = s > _RANK_REL_TOL * (scale if center else s[:1])
     return u[:, keep], s[keep], vt[keep]
 
 
-def orthonormal_basis(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (in the weighted inner product) of the column span."""
-    return span_svd(values, weights)[0] / np.sqrt(weights)[:, None]
+def orthonormal_basis(values: np.ndarray, weights: np.ndarray,
+                      center: bool = False) -> np.ndarray:
+    """Orthonormal basis (in the weighted inner product) of the column span,
+    of the centred columns with ``center=True``."""
+    return span_svd(values, weights, center)[0] / np.sqrt(weights)[:, None]
 
 
 def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
@@ -147,11 +158,8 @@ def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
     Computed in the weighted inner product; with ``center=True`` the spans
     of the centered columns are compared instead.
     """
-    if center:
-        a = weighted_center(a, weights)
-        b = weighted_center(b, weights)
-    qa = np.sqrt(weights)[:, None] * orthonormal_basis(a, weights)
-    qb = np.sqrt(weights)[:, None] * orthonormal_basis(b, weights)
+    qa = np.sqrt(weights)[:, None] * orthonormal_basis(a, weights, center)
+    qb = np.sqrt(weights)[:, None] * orthonormal_basis(b, weights, center)
     cos = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.clip(cos, 0.0, 1.0)
 

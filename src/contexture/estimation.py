@@ -43,6 +43,14 @@ class CovariancePair:
                     "b_phi must precede c_phi in the PSD order (within 1e-8)")
 
 
+def _groups(keys: np.ndarray):
+    """Each distinct key in ascending order with its positions in ``keys``,
+    ascending: one stable sort, split where the sorted key changes."""
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    return zip(distinct, np.split(order, starts[1:]))
+
+
 def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
                          mode: str = "exact", n_pairs: int = 0,
                          seed: int = 0) -> CovariancePair:
@@ -72,13 +80,11 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     rng = np.random.default_rng(seed)
     xs = rng.choice(ctx.n_inputs, size=n_pairs, p=ctx.input_marginal.weights)
     mids = np.empty(n_pairs, dtype=int)
-    for x in np.unique(xs):
-        where = np.nonzero(xs == x)[0]
+    for x, where in _groups(xs):
         mids[where] = rng.choice(ctx.n_context, size=where.size,
                                  p=ctx.conditional[x])
     ends = np.empty(n_pairs, dtype=int)
-    for a in np.unique(mids):
-        where = np.nonzero(mids == a)[0]
+    for a, where in _groups(mids):
         ends[where] = rng.choice(ctx.n_inputs, size=where.size, p=adj[a])
     left = centered[xs]
     right = centered[ends]

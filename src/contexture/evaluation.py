@@ -337,7 +337,8 @@ def _basis_covariances(enc: SampleEncoder, ctx: FiniteContext) -> CovariancePair
     columns drop out at the ``orthonormal_basis`` rank cutoff."""
     if enc.support != "input":
         raise ValueError("expected an input-support encoder")
-    basis = orthonormal_basis(enc.centered(), ctx.input_marginal.weights)
+    basis = orthonormal_basis(enc.values, ctx.input_marginal.weights,
+                              center=True)
     if basis.shape[1] == 0:
         raise ValueError("encoder has no non-constant independent columns")
     return estimate_covariances(
@@ -457,7 +458,7 @@ def mutual_knn(enc1: SampleEncoder, enc2: SampleEncoder, k: int) -> float:
         raise ValueError(f"k must be in [1, {n - 1}]")
     sets = []
     for enc in (enc1, enc2):
-        _, s, vt = span_svd(enc.centered(), enc.marginal.weights)
+        _, s, vt = span_svd(enc.values, enc.marginal.weights, center=True)
         if s.size == 0:
             raise ValueError("zero-variance encoder; neighbors undefined")
         # s[0] * orthonormal_basis plus a constant shift, so the same

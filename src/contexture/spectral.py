@@ -17,10 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fix_signs
+from ._linalg import fix_signs, top_eigenpairs
 from .context import DiscreteDistribution, FiniteContext
 
 CLAMP_TOL = 1e-10
+# ``contexture_svd(ctx, rank=r)`` tries the Gram route when min(n, m) is at
+# least GRAM_MIN_SIDE and r is at most min(n, m) // GRAM_RANK_DIVISOR
+GRAM_MIN_SIDE = 256
+GRAM_RANK_DIVISOR = 4
+# the Gram route's certificate: every retained residual |W v - s u| is at
+# most RITZ_RESIDUAL_TOL, the dense SVD's own backward error, and the
+# smallest retained Gram eigenvalue exceeds GRAM_EIG_REL_FLOOR times the
+# largest, well above the Gram matrix's roundoff
+RITZ_RESIDUAL_TOL = 1e-13
+GRAM_EIG_REL_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,60 @@ def positive_pair_kernel(ctx: FiniteContext) -> np.ndarray:
     return (adj / p[None, :]) @ adj.T
 
 
+def _certified_ritz_triplets(w: np.ndarray, keep: int, null_left: np.ndarray,
+                             null_right: np.ndarray):
+    """Top ``keep`` singular triplets ``(u, s, v)`` of ``w`` from the
+    eigenproblem of its smaller Gram matrix, or None if uncertified.
+
+    ``null_left`` and ``null_right`` are unit null vectors of ``w`` (the
+    deflated constants). A Rayleigh-Ritz step on the Gram eigenvectors U
+    (the SVD of ``U.T @ w``) leaves ``w.T @ u = s v`` and both sides
+    orthonormal to roundoff, so the residual |w v - s u| of each triplet is
+    its only error; by Wedin's bound it limits the value error, and the
+    span angle times the gap, as the dense SVD's backward error does.
+    """
+    tall = w.shape[0] > w.shape[1]
+    if tall:  # take the Gram matrix of the smaller side
+        w, null_left, null_right = w.T, null_right, null_left
+    evals, basis = top_eigenpairs(w @ w.T, keep)
+    if keep and not evals[-1] > GRAM_EIG_REL_FLOOR * evals[0]:
+        return None
+    # an eigenvector of eigenvalue s^2 picks up Gram roundoff along the null
+    # vectors that grows as 1/s^2; removing it keeps the functions
+    # orthogonal to the constant to roundoff, as the dense SVD's are
+    basis -= np.outer(null_left, null_left @ basis)
+    core = basis.T @ w
+    core -= np.outer(core @ null_right, null_right)
+    rot, s, vt = np.linalg.svd(core, full_matrices=False)
+    u, v = basis @ rot, vt.T
+    if np.any(np.linalg.norm(w @ v - u * s, axis=0) > RITZ_RESIDUAL_TOL):
+        return None
+    return (v, s, u) if tall else (u, s, v)
+
+
 def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpectrum:
     """Measure-weighted SVD of the expectation operator.
 
     Whitens the conditional matrix by the square roots of the marginals so
-    a standard dense SVD yields marginal-orthonormal singular functions.
-    The exact constant pair (value 1) is deflated analytically before the
-    SVD and re-attached as column 0, which keeps the constant mode exact
-    even when further singular values tie with 1. Signs are fixed so each
-    left function's largest-magnitude entry is positive.
+    a standard SVD yields marginal-orthonormal singular functions. The
+    exact constant pair (value 1) is deflated analytically before the SVD
+    and re-attached as column 0, which keeps the constant mode exact even
+    when further singular values tie with 1. Signs are fixed so each left
+    function's largest-magnitude entry is positive.
+
+    Two routes give the remaining ``rank - 1`` triplets of the deflated
+    matrix W. The dense SVD is the default and the oracle. A rank ``r``
+    request with min(n, m) >= ``GRAM_MIN_SIDE`` and
+    r <= min(n, m) // ``GRAM_RANK_DIVISOR`` first tries the Gram route:
+    ``eigh`` of the smaller of W W^T and W^T W, then one Rayleigh-Ritz step
+    on its top r - 1 eigenvectors, with the deflated constants (null vectors
+    of W) projected out of both sides. The route is certified only if every
+    retained residual |W v - s u| is at most ``RITZ_RESIDUAL_TOL`` and the
+    smallest retained Gram eigenvalue exceeds ``GRAM_EIG_REL_FLOOR`` times
+    the largest; otherwise the dense SVD runs instead. A certified result
+    agrees with the dense one to the dense SVD's own backward error, so
+    values move at the ulp level and a span moves by at most the residual
+    over its gap.
     """
     n, m = ctx.conditional.shape
     full = min(n, m)
@@ -121,12 +176,18 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     sp, sq = np.sqrt(p), np.sqrt(q)
     whitened = sp[:, None] * ctx.conditional / sq[None, :]
     deflated = whitened - np.outer(sp, sq)
-    u, s, vt = np.linalg.svd(deflated)
 
     keep = rank - 1
-    values = np.concatenate(([1.0], s[:keep]))
-    left = np.concatenate((sp[:, None], u[:, :keep]), axis=1) / sp[:, None]
-    right = np.concatenate((sq[:, None], vt[:keep].T), axis=1) / sq[:, None]
+    triplets = None
+    if full >= GRAM_MIN_SIDE and rank <= full // GRAM_RANK_DIVISOR:
+        triplets = _certified_ritz_triplets(deflated, keep, sp, sq)
+    if triplets is None:
+        u, s, vt = np.linalg.svd(deflated)
+        triplets = u[:, :keep], s[:keep], vt[:keep].T
+    u, s, v = triplets
+    values = np.concatenate(([1.0], s))
+    left = np.concatenate((sp[:, None], u), axis=1) / sp[:, None]
+    right = np.concatenate((sq[:, None], v), axis=1) / sq[:, None]
 
     fix_signs(left, right)
     return ContextureSpectrum(
@@ -151,8 +212,10 @@ def reconstruct_joint(spec: ContextureSpectrum) -> np.ndarray:
 
 
 def save_spectrum(spec: ContextureSpectrum, path) -> None:
+    # json.dumps runs the C encoder; json.dump writes the same bytes through
+    # the pure-Python one
     with open(path, "w") as fh:
-        json.dump(spec.to_json_dict(), fh)
+        fh.write(json.dumps(spec.to_json_dict()))
         fh.write("\n")
 
 

@@ -210,7 +210,7 @@ def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
     for _ in range(n_encoders):
         enc = SampleEncoder(rng.standard_normal((ctx.n_inputs, d)), "input",
                             ctx.input_marginal)
-        basis = orthonormal_basis(enc.centered(), p)
+        basis = orthonormal_basis(enc.values, p, center=True)
         cross = basis.T @ (p[:, None] * top)
         _, _, vt = np.linalg.svd(cross)
         c = vt[-1]

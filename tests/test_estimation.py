@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contexture import (CovariancePair, DiscreteDistribution, FiniteContext,
                         PointSet, SampleEncoder, build_rbf_context,
                         contexture_svd, estimate_covariances,
                         estimate_spectrum_posthoc, subsample_support)
 from contexture._linalg import principal_angle_cosines
+from contexture.spectral import adjoint_matrix
 
 
 def dense_context(seed, n, m):
@@ -62,6 +64,52 @@ class TestEstimateCovariances:
     def test_psd_order_validated_in_exact_mode(self):
         with pytest.raises(ValueError, match="PSD order"):
             CovariancePair(c_phi=np.eye(2), b_phi=2 * np.eye(2), mode="exact")
+
+
+def per_key_pair_sampled(enc, ctx, n_pairs, seed):
+    """The pair-sampled ``b_phi`` found group by group: one scan of all
+    pairs per distinct key, drawing in ascending key order."""
+    centered = enc.centered()
+    adj = adjoint_matrix(ctx)
+    rng = np.random.default_rng(seed)
+    xs = rng.choice(ctx.n_inputs, size=n_pairs, p=ctx.input_marginal.weights)
+    mids = np.empty(n_pairs, dtype=int)
+    for x in np.unique(xs):
+        where = np.nonzero(xs == x)[0]
+        mids[where] = rng.choice(ctx.n_context, size=where.size,
+                                 p=ctx.conditional[x])
+    ends = np.empty(n_pairs, dtype=int)
+    for a in np.unique(mids):
+        where = np.nonzero(mids == a)[0]
+        ends[where] = rng.choice(ctx.n_inputs, size=where.size, p=adj[a])
+    b_raw = (centered[xs].T @ centered[ends]) / n_pairs
+    return 0.5 * (b_raw + b_raw.T)
+
+
+class TestPairSampledGrouping:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 12), d=st.integers(1, 3),
+           n_pairs=st.integers(1, 400), sparse=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @example(n=1, m=1, d=1, n_pairs=1, sparse=False, seed=0)  # one key, one pair
+    @example(n=1, m=6, d=2, n_pairs=50, sparse=False, seed=1)  # one input key
+    @example(n=6, m=1, d=2, n_pairs=50, sparse=False, seed=2)  # one context key
+    @example(n=9, m=7, d=2, n_pairs=1, sparse=True, seed=3)
+    def test_b_phi_bitwise_equal_to_per_key_loop(self, n, m, d, n_pairs,
+                                                 sparse, seed):
+        # small supports repeat every key; sparse rows draw from few points
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(m), size=n)
+        if sparse:
+            rows[rng.random((n, m)) < 0.6] = 0.0
+            rows[np.arange(n), rng.integers(0, m, n)] += 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        ctx = FiniteContext(rows, DiscreteDistribution(rng.dirichlet(np.ones(n))))
+        enc = SampleEncoder(rng.standard_normal((n, d)), "input",
+                            ctx.input_marginal)
+        cov = estimate_covariances(enc, ctx, "pair_sampled", n_pairs, seed=seed)
+        assert np.array_equal(cov.b_phi,
+                              per_key_pair_sampled(enc, ctx, n_pairs, seed))
 
 
 class TestEstimateSpectrumPosthoc:

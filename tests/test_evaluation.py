@@ -9,6 +9,7 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         dual_kernel, fisher_discriminant, fit_linear_probe,
                         kernel_association_measures, mutual_knn, ratio_trace,
                         trace_gap_bound, usefulness_metric, worst_case_err)
+from contexture._linalg import orthonormal_basis
 from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
 from contexture.spectral import ContextureSpectrum
 from contexture.verify import random_dense_context
@@ -570,6 +571,42 @@ class TestMutualKnn:
         cols[:2, :] = [[0.0, 0.0], [1.0, 1.0]]  # neither column constant
         a, b = (SampleEncoder(cols[:, [j]], "input", marg) for j in (0, 1))
         assert mutual_knn(a, b, k) == _mutual_knn_oracle(a.values, b.values, k)
+
+
+class TestConstantEncoders:
+    """A constant column centres to roundoff, not always to zero; the span
+    cut is taken relative to the uncentred scale, so it keeps no span."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(3, 59), d=st.integers(1, 3), dirichlet=st.booleans(),
+           consts=st.lists(st.sampled_from([0.3, 0.1, 1 / 3, 2.7, -1234.5678]),
+                           min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_no_span_and_rejected(self, n, d, dirichlet, consts, seed):
+        rng = np.random.default_rng(seed)
+        marg = (DiscreteDistribution(rng.dirichlet(np.ones(n))) if dirichlet
+                else DiscreteDistribution.uniform(n))
+        flat = SampleEncoder(np.tile(consts[:d], (n, 1)), "input", marg)
+        other = SampleEncoder(np.arange(float(n))[:, None] ** 2, "input", marg)
+        assert orthonormal_basis(flat.values, marg.weights, center=True).shape[1] == 0
+        for a, b in ((flat, other), (other, flat)):
+            with pytest.raises(ValueError, match="zero-variance"):
+                cca_alignment(a, b, marg)
+            with pytest.raises(ValueError, match="zero-variance"):
+                mutual_knn(a, b, 2)
+        ctx = FiniteContext(rng.dirichlet(np.ones(5), size=n), marg)
+        with pytest.raises(ValueError, match="no non-constant"):
+            ratio_trace(flat, ctx)
+
+    @pytest.mark.parametrize("const", [0.3, -1234.5678])
+    def test_small_variation_keeps_its_span(self, const):
+        # a millionth of the scale is far above the 1e-10 relative cut
+        marg = DiscreteDistribution.uniform(7)
+        x = np.arange(7.0)[:, None] ** 2
+        near = SampleEncoder(const + 1e-6 * abs(const) * x, "input", marg)
+        plain = SampleEncoder(x, "input", marg)
+        assert abs(cca_alignment(near, plain, marg) - 1.0) < 1e-8
+        assert mutual_knn(near, plain, 2) == 1.0
 
 
 def _whitened_mutual_knn(enc1, enc2, k):

@@ -1,15 +1,22 @@
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contexture import (DiscreteDistribution, FiniteContext, adjoint_matrix,
-                        build_label_context, contexture_svd, dual_kernel,
+from contexture import (DiscreteDistribution, FiniteContext, PointSet,
+                        adjoint_matrix, build_knn_context, build_label_context,
+                        build_rbf_context, contexture_svd, dual_kernel,
                         load_spectrum, positive_pair_kernel,
-                        reconstruct_joint, save_spectrum)
+                        reconstruct_joint, save_spectrum, spectral)
 from contexture._linalg import weighted_norm
-from contexture.spectral import CLAMP_TOL
+from contexture.spectral import CLAMP_TOL, GRAM_MIN_SIDE, GRAM_RANK_DIVISOR
+
+# backward error of the dense SVD oracle, about n * eps * |W|: what Wedin's
+# bound grants a certified rank-r spectrum over the dense one
+SVD_ETA = 1e-13
 
 
 def random_context(seed, n, m):
@@ -224,8 +231,173 @@ class TestSerialization:
         assert spec.clamped.tolist() == [False, False]
         assert np.array_equal(loaded.clamped, spec.clamped)
 
+    def test_saved_bytes_equal_json_dump(self, tmp_path):
+        # the C encoder behind json.dumps writes what json.dump wrote
+        spec = contexture_svd(random_context(7, 60, 50))
+        path = tmp_path / "spec.json"
+        save_spectrum(spec, path)
+        old = io.StringIO()
+        json.dump(spec.to_json_dict(), old)
+        old.write("\n")
+        assert path.read_bytes() == old.getvalue().encode()
+
     def test_schema_fields(self, tmp_path, two_state):
         path = tmp_path / "spec.json"
         save_spectrum(contexture_svd(two_state), path)
         data = json.loads(path.read_text())
         assert set(data) == {"singular_values", "left", "right", "p_x", "p_a"}
+
+
+# ---------------------------------------------------------------------------
+# the certified Gram route of a rank-r request, against the dense oracle
+# ---------------------------------------------------------------------------
+
+def svd_with_route(ctx, rank):
+    """``contexture_svd(ctx, rank)`` and the routes it took: one entry per
+    Gram attempt, True if it was certified."""
+    routes = []
+    attempt = spectral._certified_ritz_triplets
+
+    def recording(*args):
+        got = attempt(*args)
+        routes.append(got is not None)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_certified_ritz_triplets", recording)
+        return contexture_svd(ctx, rank=rank), routes
+
+
+def assert_matches_dense(ctx, spec, certified):
+    """A rank-r spectrum against the rank-free dense SVD.
+
+    A fallback is the dense result itself. For a certified one, Wedin's
+    bound turns the residual certificate into the checks: each value within
+    it of the dense one, the duality residual within it on both sides, and
+    at every cut d the sine of the angle between the top-d left spans times
+    the gap s_d - s_(d+1) within it; both sides are orthonormal to it too.
+    The dense SVD's own error is at roundoff level besides.
+    """
+    dense = contexture_svd(ctx)
+    r = spec.rank
+    if not certified:
+        assert np.array_equal(spec.singular_values, dense.singular_values[:r])
+        assert np.array_equal(spec.left_functions, dense.left_functions[:, :r])
+        assert np.array_equal(spec.right_functions, dense.right_functions[:, :r])
+        return
+    p, q = ctx.input_marginal.weights, ctx.context_marginal.weights
+    assert np.all(np.abs(spec.singular_values - dense.singular_values[:r])
+                  <= SVD_ETA)
+    for funcs, w in ((spec.left_functions, p), (spec.right_functions, q)):
+        gram = funcs.T @ (w[:, None] * funcs)
+        assert np.max(np.abs(gram - np.eye(r))) <= SVD_ETA
+    s = spec.singular_values
+    forward = ctx.conditional @ spec.right_functions - spec.left_functions * s
+    backward = adjoint_matrix(ctx) @ spec.left_functions - spec.right_functions * s
+    for i in range(1, r):
+        assert weighted_norm(forward[:, i], p) <= SVD_ETA
+        assert weighted_norm(backward[:, i], q) <= SVD_ETA
+    a = np.sqrt(p)[:, None] * spec.left_functions[:, 1:]
+    b = np.sqrt(p)[:, None] * dense.left_functions[:, 1:r]
+    values = dense.nontrivial_values
+    for d in range(1, r):
+        sine = np.linalg.norm(a[:, :d] - b[:, :d] @ (b[:, :d].T @ a[:, :d]), 2)
+        assert sine * (values[d - 1] - values[d]) <= SVD_ETA
+
+
+def request_rank(data, ctx, lowest=2):
+    full = min(ctx.conditional.shape)
+    assert full >= GRAM_MIN_SIDE  # every case here is inside the Gram gate
+    return data.draw(st.integers(lowest, full // GRAM_RANK_DIVISOR), label="rank")
+
+
+class TestGramRoute:
+    @settings(max_examples=12, deadline=None)
+    @given(tall=st.booleans(), extra=st.integers(0, 60),
+           alpha=st.sampled_from([0.05, 0.3, 2.0]), dirichlet=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_dense_context_either_orientation(self, tall, extra, alpha,
+                                              dirichlet, seed, data):
+        rng = np.random.default_rng(seed)
+        n, m = GRAM_MIN_SIDE + extra, GRAM_MIN_SIDE
+        if not tall:
+            n, m = m, n
+        marginal = (DiscreteDistribution(rng.dirichlet(np.ones(n)))
+                    if dirichlet else DiscreteDistribution.uniform(n))
+        ctx = FiniteContext(rng.dirichlet(np.full(m, alpha), size=n), marginal)
+        spec, routes = svd_with_route(ctx, request_rank(data, ctx))
+        assert routes == [True]
+        assert_matches_dense(ctx, spec, certified=True)
+
+    @settings(max_examples=8, deadline=None)
+    @given(clusters=st.integers(2, 4), k=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_disconnected_knn_graph(self, clusters, k, seed, data):
+        # far-apart clusters: s = 1 once for each component past the first
+        rng = np.random.default_rng(seed)
+        size = 2 * GRAM_MIN_SIDE // clusters
+        points = np.concatenate([rng.standard_normal((size, 2)) + 1e3 * c
+                                 for c in range(clusters)])
+        ctx = build_knn_context(PointSet(points), k)
+        spec, routes = svd_with_route(ctx, request_rank(data, ctx, clusters + 1))
+        assert routes == [True]
+        assert np.all(np.abs(spec.singular_values[:clusters] - 1.0)
+                      <= SVD_ETA)
+        assert_matches_dense(ctx, spec, certified=True)
+
+    @settings(max_examples=10, deadline=None)
+    @given(knn=st.booleans(), copies=st.integers(1, 200),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_duplicate_points(self, knn, copies, seed, data):
+        # a kNN spectrum decays slowly and is certified; an RBF one with
+        # duplicate rows is certified or falls back, by the rank asked for
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((GRAM_MIN_SIDE + 44, 2))
+        points = PointSet(np.concatenate(
+            [base, base[rng.integers(0, len(base), copies)]]))
+        ctx = (build_knn_context(points, 5) if knn
+               else build_rbf_context(points, 1.0))
+        spec, routes = svd_with_route(ctx, request_rank(data, ctx))
+        if knn:
+            assert routes == [True]
+        assert_matches_dense(ctx, spec, certified=routes == [True])
+
+    @settings(max_examples=10, deadline=None)
+    @given(gamma=st.sampled_from([1e-4, 1e-3]), extra=st.integers(0, 60),
+           low=st.booleans(), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_fast_decaying_rbf(self, gamma, extra, low, seed, data):
+        # s_1 is about gamma and the spectrum falls by orders per step, so
+        # from rank 9 on s_8 / s_1 is far below sqrt(GRAM_EIG_REL_FLOOR) and
+        # the request falls back; a low rank may still be certified
+        rng = np.random.default_rng(seed)
+        points = PointSet(rng.standard_normal((GRAM_MIN_SIDE + extra, 2)))
+        ctx = build_rbf_context(points, gamma)
+        full = min(ctx.conditional.shape)
+        rank = data.draw(st.integers(2, 4) if low
+                         else st.integers(9, full // GRAM_RANK_DIVISOR), label="rank")
+        spec, routes = svd_with_route(ctx, rank)
+        if not low:
+            assert routes == [False]
+        assert_matches_dense(ctx, spec, certified=routes == [True])
+
+    def test_smooth_rbf_certified_then_falls_back(self):
+        # on a line the spectrum decays fast but smoothly: low ranks are
+        # certified, and past about 12 the residual or the eigenvalue floor
+        # sends the request to the dense SVD
+        points = PointSet(np.random.default_rng(0).standard_normal((300, 1)))
+        ctx = build_rbf_context(points, 1.0)
+        taken = []
+        for rank in range(2, 21):
+            spec, routes = svd_with_route(ctx, rank)
+            taken.append(routes == [True])
+            assert_matches_dense(ctx, spec, certified=routes == [True])
+        assert taken[:8] == [True] * 8 and taken[-1] is False
+
+    def test_outside_the_gate_is_dense(self):
+        small = random_context(8, GRAM_MIN_SIDE - 1, GRAM_MIN_SIDE + 10)
+        big = random_context(9, GRAM_MIN_SIDE, GRAM_MIN_SIDE)
+        for ctx, rank in ((small, 4), (big, GRAM_MIN_SIDE // GRAM_RANK_DIVISOR + 1),
+                          (big, None)):
+            spec, routes = svd_with_route(ctx, rank)
+            assert routes == []
+            assert_matches_dense(ctx, spec, certified=False)
