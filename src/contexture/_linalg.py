@@ -17,9 +17,6 @@ _DIST_BLOCK_ROWS = 256
 _WHITEN_REL_FLOOR = 1e-13
 # relative size below which a singular value or residual counts as zero
 _RANK_REL_TOL = 1e-10
-# ``golden_section_min`` stops at this bracket width or step count
-_GOLDEN_TOL = 1e-12
-_GOLDEN_MAX_ITER = 300
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,27 +159,6 @@ def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
     qb = np.sqrt(weights)[:, None] * orthonormal_basis(b, weights, center)
     cos = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.clip(cos, 0.0, 1.0)
-
-
-def golden_section_min(fn, lo: float, hi: float) -> float:
-    """Golden-section search for the minimizer of a unimodal function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_MAX_ITER):
-        if b - a < _GOLDEN_TOL:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 def as_native(obj):

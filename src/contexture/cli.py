@@ -132,13 +132,11 @@ def _cmd_metric(args) -> int:
     spec = load_spectrum(args.spectrum)
     frag = usefulness_metric(spec.nontrivial_values, d0=args.d0, beta=args.beta)
     payload = dict(asdict(frag), beta=args.beta, d0=args.d0)
-    text = json.dumps(as_native(payload), sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_report(payload, args.out)
     if args.curve_csv:
         save_tau_curve_csv(frag.tau_curve, args.curve_csv)
-    print(text)
+    print(json.dumps(as_native(payload), sort_keys=True, indent=2))
     return 0
 
 

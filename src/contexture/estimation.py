@@ -86,9 +86,11 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     ends = np.empty(n_pairs, dtype=int)
     for a, where in _groups(mids):
         ends[where] = rng.choice(ctx.n_inputs, size=where.size, p=adj[a])
-    left = centered[xs]
-    right = centered[ends]
-    b_raw = (left.T @ right) / n_pairs
+    # sum_p c[x_p]^T c[e_p] grouped by start point: per column, the summed
+    # end values of each start, without two n_pairs x d gathers
+    sums = np.stack([np.bincount(xs, weights=col[ends], minlength=ctx.n_inputs)
+                     for col in centered.T], axis=1)
+    b_raw = centered.T @ sums / n_pairs
     return CovariancePair(c_phi=c_phi, b_phi=0.5 * (b_raw + b_raw.T),
                           mode="pair_sampled", n_pairs=n_pairs)
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ._linalg import (as_native, golden_section_min, knn_index,
-                      orthonormal_basis, principal_angle_cosines, span_svd,
-                      sq_dists, weighted_norm)
+from ._linalg import (as_native, knn_index, orthonormal_basis,
+                      principal_angle_cosines, span_svd, sq_dists,
+                      weighted_norm)
 from .context import DiscreteDistribution, FiniteContext, PointSet
 from .errors import NumericalError
 from .estimation import CovariancePair, estimate_covariances
@@ -245,18 +245,26 @@ def usefulness_metric(singular_values, d0: int, beta: float) -> TauFragment:
 def decay_rate(singular_values) -> float:
     """Exponential decay-rate fit of the squared nontrivial spectrum.
 
-    Least squares of squared values against exp(-rate * index), index
-    starting at 1, solved by golden-section search on [0, 50].
+    The rate in [0, 50] whose exp(-rate * i), i starting at 1, fits the
+    squared values y_i of a descending spectrum in least squares. Half the
+    objective's slope, sum_i i e^(-rate i) (y_i - e^(-rate i)), is <= 0 at
+    0 because no nontrivial singular value exceeds 1, and > 0 at 50
+    because y_1 > 1e-12 outweighs every e^(-50 i). Bisection on its sign
+    runs until the midpoint rounds to an endpoint, so the rate moves by
+    only a few ulp when the values do, and a flat spectrum fits 0 exactly.
     """
     y = np.asarray(singular_values, dtype=float) ** 2
     if np.count_nonzero(y > 1e-12) < 3:
         raise ValueError("need at least 3 nontrivial singular values above 1e-12")
     idx = np.arange(1, y.size + 1, dtype=float)
-
-    def objective(rate: float) -> float:
-        return float(np.sum((y - np.exp(-rate * idx)) ** 2))
-
-    return golden_section_min(objective, 0.0, 50.0)
+    lo, hi = 0.0, 50.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        fit = np.exp(-mid * idx)
+        if np.sum(idx * fit * (y - fit)) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return mid
 
 
 def kernel_association_measures(kernel: np.ndarray, points: PointSet,

@@ -28,10 +28,14 @@ def test_spectrum_then_metric(tmp_path, waves_csv, capsys):
 
     capsys.readouterr()
     curve_path = tmp_path / "curve.csv"
+    metric_path = tmp_path / "metric.json"
     rc = main(["metric", "--spectrum", str(spec_path), "--beta", "1.0",
-               "--d0", "4", "--curve-csv", str(curve_path)])
+               "--d0", "4", "--curve-csv", str(curve_path),
+               "--out", str(metric_path)])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    assert metric_path.read_text() == printed
+    payload = json.loads(printed)
     assert payload["d0"] == 4
     assert len(payload["tau_curve"]) == 4
     assert payload["tau"] == min(payload["tau_curve"])

@@ -66,10 +66,9 @@ class TestEstimateCovariances:
             CovariancePair(c_phi=np.eye(2), b_phi=2 * np.eye(2), mode="exact")
 
 
-def per_key_pair_sampled(enc, ctx, n_pairs, seed):
-    """The pair-sampled ``b_phi`` found group by group: one scan of all
-    pairs per distinct key, drawing in ascending key order."""
-    centered = enc.centered()
+def per_key_draws(ctx, n_pairs, seed):
+    """The pair-sampled chain starts and ends drawn group by group: one
+    scan of all pairs per distinct key, drawing in ascending key order."""
     adj = adjoint_matrix(ctx)
     rng = np.random.default_rng(seed)
     xs = rng.choice(ctx.n_inputs, size=n_pairs, p=ctx.input_marginal.weights)
@@ -82,8 +81,32 @@ def per_key_pair_sampled(enc, ctx, n_pairs, seed):
     for a in np.unique(mids):
         where = np.nonzero(mids == a)[0]
         ends[where] = rng.choice(ctx.n_inputs, size=where.size, p=adj[a])
-    b_raw = (centered[xs].T @ centered[ends]) / n_pairs
+    return xs, ends
+
+
+def per_key_pair_sampled(enc, ctx, n_pairs, seed):
+    """The pair-sampled ``b_phi`` of the per-key draws, reduced as
+    ``estimate_covariances`` reduces them: end values summed per start."""
+    centered = enc.centered()
+    xs, ends = per_key_draws(ctx, n_pairs, seed)
+    sums = np.stack([np.bincount(xs, weights=col[ends], minlength=ctx.n_inputs)
+                     for col in centered.T], axis=1)
+    b_raw = centered.T @ sums / n_pairs
     return 0.5 * (b_raw + b_raw.T)
+
+
+def random_pair_setup(n, m, d, sparse, seed):
+    # small supports repeat every key; sparse rows draw from few points
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(m), size=n)
+    if sparse:
+        rows[rng.random((n, m)) < 0.6] = 0.0
+        rows[np.arange(n), rng.integers(0, m, n)] += 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    ctx = FiniteContext(rows, DiscreteDistribution(rng.dirichlet(np.ones(n))))
+    enc = SampleEncoder(rng.standard_normal((n, d)), "input",
+                        ctx.input_marginal)
+    return ctx, enc
 
 
 class TestPairSampledGrouping:
@@ -97,19 +120,26 @@ class TestPairSampledGrouping:
     @example(n=9, m=7, d=2, n_pairs=1, sparse=True, seed=3)
     def test_b_phi_bitwise_equal_to_per_key_loop(self, n, m, d, n_pairs,
                                                  sparse, seed):
-        # small supports repeat every key; sparse rows draw from few points
-        rng = np.random.default_rng(seed)
-        rows = rng.dirichlet(np.ones(m), size=n)
-        if sparse:
-            rows[rng.random((n, m)) < 0.6] = 0.0
-            rows[np.arange(n), rng.integers(0, m, n)] += 1.0
-            rows /= rows.sum(axis=1, keepdims=True)
-        ctx = FiniteContext(rows, DiscreteDistribution(rng.dirichlet(np.ones(n))))
-        enc = SampleEncoder(rng.standard_normal((n, d)), "input",
-                            ctx.input_marginal)
+        ctx, enc = random_pair_setup(n, m, d, sparse, seed)
         cov = estimate_covariances(enc, ctx, "pair_sampled", n_pairs, seed=seed)
         assert np.array_equal(cov.b_phi,
                               per_key_pair_sampled(enc, ctx, n_pairs, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), m=st.integers(1, 12), d=st.integers(1, 5),
+           n_pairs=st.integers(1, 2000), sparse=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_b_phi_matches_gathered_pair_product(self, n, m, d, n_pairs,
+                                                 sparse, seed):
+        # the per-start sums reorder the pair product sum_p c[x_p]^T c[e_p]
+        ctx, enc = random_pair_setup(n, m, d, sparse, seed)
+        centered = enc.centered()
+        xs, ends = per_key_draws(ctx, n_pairs, seed)
+        b_raw = centered[xs].T @ centered[ends] / n_pairs
+        gathered = 0.5 * (b_raw + b_raw.T)
+        cov = estimate_covariances(enc, ctx, "pair_sampled", n_pairs, seed=seed)
+        scale = np.max(np.abs(centered)) ** 2
+        assert np.max(np.abs(cov.b_phi - gathered)) <= 1e-12 * scale
 
 
 class TestEstimateSpectrumPosthoc:

@@ -239,6 +239,27 @@ class TestDecayRate:
         with pytest.raises(ValueError):
             decay_rate(np.array([0.5, 0.1, 1e-9]))
 
+    # 9 is the largest integer rate whose third squared value, e^-27, stays
+    # above the 1e-12 floor
+    @pytest.mark.parametrize("rate", [1e-3, 0.1, 0.5, 1.3, 3.0, 9.0])
+    @pytest.mark.parametrize("size", [13, 64, 1399])
+    def test_exact_exponential_to_roundoff(self, rate, size):
+        fitted = decay_rate(np.sqrt(np.exp(-rate * np.arange(1, size + 1))))
+        assert abs(fitted - rate) <= 1e-14 * rate
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.floats(0.01, 8.0), size=st.integers(3, 200),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_ulp_noise_moves_rate_by_roundoff(self, rate, size, seed):
+        # a noisy exponential below 1 fits a rate well inside the bracket;
+        # each of its values then moves by at most 2 ulp
+        rng = np.random.default_rng(seed)
+        y = np.exp(-rate * np.arange(1, size + 1)) * rng.uniform(0.5, 1.0, size)
+        values = np.sort(np.sqrt(y))[::-1]
+        nudged = values + rng.integers(-2, 3, size) * np.spacing(values)
+        fitted = decay_rate(values)
+        assert abs(decay_rate(nudged) - fitted) <= 1e-12 * fitted
+
 
 class TestAssociationMeasures:
     def test_independent_deviation_zero(self, independent_context):
