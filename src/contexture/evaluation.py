@@ -22,6 +22,9 @@ ACTIVE_TOL = 1e-8
 # sampled points per side of a tile in the Lipschitz scan: a tile's
 # difference block (_GAP_BLOCK^2 x sample size) stays in cache
 _GAP_BLOCK = 8
+# relative and absolute slack of the Lipschitz scan's float32 screen, in
+# units of the scaled kernel (derived in _lipschitz_scan)
+_F32_SLACK = 2.0 ** -21
 
 
 @dataclass(frozen=True)
@@ -276,9 +279,24 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
     absolute deviation of the kernel from 1, and the maximum difference
     quotient over sampled index triples (coincident pairs skipped; the
     sample is a deterministic index stride of at least 2 points).
+
+    The kernel must be a finite n x n matrix, with n the number of points
+    and of marginal weights. The maximum is found by a screened scan. Tiles
+    of point pairs whose rigorous upper bound (from each column's range,
+    then from a float32 pass) falls below a lower bound on the maximum are
+    skipped. Every other pair's quotient is computed in float64 with the
+    same subtraction, absolute value, maximum and division as an unscreened
+    scan, and a maximum does not depend on the order it is taken in, so the
+    result is the same float.
     """
     kernel = np.asarray(kernel, dtype=float)
-    n = kernel.shape[0]
+    n = len(marginal)
+    if kernel.shape != (n, n) or points.n_points != n:
+        raise ValueError(f"kernel must be n x n and points must have n rows for "
+                         f"the marginal's n = {n}; got a kernel of shape "
+                         f"{kernel.shape} and {points.n_points} points")
+    if not np.all(np.isfinite(kernel)):
+        raise ValueError("kernel entries must be finite")
     w = marginal.weights
     deviation = float(w @ np.abs(kernel - 1.0) @ w)
 
@@ -289,32 +307,97 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
         raise ValueError("lipschitz_sample must not exceed the support size")
     idx = np.unique(np.round(np.linspace(0, n - 1, lipschitz_sample)).astype(int))
     # row a holds kernel column a, so the gap between points a and b is the
-    # max-abs distance between rows a and b; scanned in strips of anchors
-    # against every later point, each strip filled tile by tile
+    # max-abs distance between rows a and b
     cols = kernel.T[np.ix_(idx, idx)]
-    pts = points.points[idx]
-    size = len(idx)
-    tile = np.empty((_GAP_BLOCK, _GAP_BLOCK, size))
-    best = 0.0
-    found_distinct = False
-    for a0 in range(0, size, _GAP_BLOCK):
-        anchors = cols[a0:a0 + _GAP_BLOCK, None, :]
-        gaps = np.empty((anchors.shape[0], size - a0))
-        for b0 in range(a0, size, _GAP_BLOCK):
-            others = cols[None, b0:b0 + _GAP_BLOCK, :]
-            diff = tile[:anchors.shape[0], :others.shape[1]]
-            np.subtract(anchors, others, out=diff)
-            np.abs(diff, out=diff)
-            np.max(diff, axis=2, out=gaps[:, b0 - a0:b0 - a0 + _GAP_BLOCK])
-        dists = np.sqrt(sq_dists(pts[a0:a0 + _GAP_BLOCK], pts[a0:]))
-        pairs = np.triu(dists > 0, 1)  # later points only, coincident skipped
-        if not pairs.any():
-            continue
-        found_distinct = True
-        best = max(best, float(np.max(gaps[pairs] / dists[pairs])))
-    if not found_distinct:
+    return deviation, _lipschitz_scan(cols, points.points[idx])
+
+
+def _strip_gaps(cols: np.ndarray, a0: int, tiles: np.ndarray) -> np.ndarray:
+    """Gaps between the anchor rows ``a0:a0 + _GAP_BLOCK`` and the rows of
+    the given tiles, in a strip over columns ``a0:`` (other columns zero)."""
+    size = len(cols)
+    anchors = cols[a0:a0 + _GAP_BLOCK, None, :]
+    gaps = np.zeros((anchors.shape[0], size - a0), dtype=cols.dtype)
+    tile = np.empty((_GAP_BLOCK, _GAP_BLOCK, size), dtype=cols.dtype)
+    for b0 in tiles * _GAP_BLOCK:
+        others = cols[None, b0:b0 + _GAP_BLOCK, :]
+        diff = tile[:anchors.shape[0], :others.shape[1]]
+        np.subtract(anchors, others, out=diff)
+        np.abs(diff, out=diff)
+        np.max(diff, axis=2, out=gaps[:, b0 - a0:b0 - a0 + _GAP_BLOCK])
+    return gaps
+
+
+def _tile_max(strip: np.ndarray) -> np.ndarray:
+    """The largest entry of each _GAP_BLOCK-wide tile of a strip (NaN skipped)."""
+    return np.fmax.reduceat(np.fmax.reduce(strip, axis=0),
+                            np.arange(0, strip.shape[1], _GAP_BLOCK))
+
+
+def _lipschitz_scan(cols: np.ndarray, pts: np.ndarray) -> float:
+    """Largest ``max|cols[a] - cols[b]| / |pts[a] - pts[b]|`` over distinct
+    point pairs, each quotient computed as ``gap / dist`` in float64.
+
+    The answer is a maximum, so a tile of pairs needs no exact pass once a
+    rigorous upper bound on its quotients is below a lower bound on the
+    maximum. Bounds go through rounding monotonically, so a computed bound
+    is never below the computed quotient it bounds.
+    """
+    size = len(cols)
+    dists = np.sqrt(sq_dists(pts, pts))
+    distinct = dists > 0
+    if not distinct.any():
         raise ValueError("all sampled points coincide; Lipschitz estimate undefined")
-    return deviation, best
+    pairs = np.triu(distinct, 1)  # later points only, coincident skipped
+    # seed: each point against its nearest distinct neighbour, exactly
+    rows = np.flatnonzero(distinct.any(axis=1))
+    near = np.argmin(np.where(distinct[rows], dists[rows], np.inf), axis=1)
+    diff = cols[rows] - cols[near]
+    best = float(np.max(np.max(np.abs(diff, out=diff), axis=1) / dists[rows, near]))
+    # range screen: |cols[a, c] - cols[b, c]| <= max(hi_a - lo_b, hi_b - lo_a),
+    # and rounding is monotone, so no computed gap exceeds the computed bound
+    hi, lo = cols.max(axis=1), cols.min(axis=1)
+    # float32 screen on the kernel scaled by 2^-e into [-1, 1]. With y a
+    # scaled real value and z its float32 copy, |z - y| <= 2^-24 |y| + 2^-149:
+    # the cast rounds by 2^-24 relative, or by 2^-150 in float32's subnormal
+    # range, and the scaling is exact except in float64's subnormal range
+    # (2^-1075). So each real difference of z is within 2^-23 + 2^-148 of the
+    # scaled real difference. The float32 subtraction rounds that by at most
+    # 2^-24 relative, and is exact where it lands in float32's subnormal
+    # range; abs and max are exact. The float64 gap G of the exact pass is
+    # the real gap D rounded once (a subnormal difference is exact). So, with
+    # g the float32 gap, g (1 - 2^-24) - 2^-22 <= 2^-e D <= g (1 + 2^-23) + 2^-22.
+    # _F32_SLACK = 2^-21 widens both sides enough to cover the float64
+    # roundings of evaluating them (g (1 +- 2^-21) is exact: 24 + 22 bits).
+    e = int(np.frexp(max(hi.max(), -lo.min()))[1])
+    scaled = np.ldexp(cols, -e).astype(np.float32)
+    n_tiles = -(-size // _GAP_BLOCK)
+    upper = np.zeros((n_tiles, n_tiles))
+    floor = best
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s, a0 in enumerate(range(0, size, _GAP_BLOCK)):
+            strip = slice(a0, a0 + _GAP_BLOCK)
+            ok, d = pairs[strip, a0:], dists[strip, a0:]
+            reach = np.maximum(hi[strip, None] - lo[a0:], hi[a0:] - lo[strip, None])
+            keep = _tile_max(np.where(ok, reach / d, 0.0)) > best
+            if not keep.any():
+                continue
+            g = _strip_gaps(scaled, a0, s + np.flatnonzero(keep)).astype(float)
+            ok = ok & np.repeat(keep, _GAP_BLOCK)[:size - a0]
+            up = np.ldexp(g * (1.0 + _F32_SLACK) + _F32_SLACK, e) / d
+            upper[s, s:] = _tile_max(np.where(ok, up, 0.0))
+            low = np.ldexp(g * (1.0 - _F32_SLACK) - _F32_SLACK, e) / d
+            floor = max(floor, float(np.max(low[ok])))
+    # exact pass over the tiles that can hold a quotient above both bounds
+    exact = (upper >= floor) & (upper > best)
+    for s in np.flatnonzero(exact.any(axis=1)):
+        a0 = s * _GAP_BLOCK
+        strip = slice(a0, a0 + _GAP_BLOCK)
+        # the zero gaps of the tiles left out cannot raise the maximum
+        gaps = _strip_gaps(cols, a0, np.flatnonzero(exact[s]))
+        ok = pairs[strip, a0:]
+        best = max(best, float(np.max(gaps[ok] / dists[strip, a0:][ok])))
+    return best
 
 
 def make_usefulness_report(spec: ContextureSpectrum, ctx: FiniteContext,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,9 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         cca_alignment, compatibility, compatible_lift,
                         contexture_svd, correlation_stats, decay_rate,
                         dual_kernel, fisher_discriminant, fit_linear_probe,
-                        kernel_association_measures, mutual_knn, ratio_trace,
-                        trace_gap_bound, usefulness_metric, worst_case_err)
+                        kernel_association_measures, make_usefulness_report,
+                        mutual_knn, ratio_trace, trace_gap_bound,
+                        usefulness_metric, worst_case_err)
 from contexture._linalg import orthonormal_basis
 from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
 from contexture.spectral import ContextureSpectrum
@@ -313,6 +316,41 @@ class TestAssociationMeasures:
             kernel_association_measures(np.ones((3, 3)), pts,
                                         DiscreteDistribution.uniform(3),
                                         lipschitz_sample=3)
+
+    @pytest.mark.parametrize("shape, n_points, n_weights", [
+        ((4, 4), 6, 4),  # used to pair kernel rows with the first 4 points
+        ((4, 4), 3, 4),  # used to raise an IndexError
+        ((4, 5), 4, 4),  # used to raise a matmul error
+        ((4, 4), 4, 5),
+        ((4,), 4, 4),
+    ])
+    def test_shape_mismatch_rejected(self, shape, n_points, n_weights):
+        pts = PointSet(np.arange(float(n_points))[:, None])
+        with pytest.raises(ValueError, match="kernel must be n x n"):
+            kernel_association_measures(np.ones(shape), pts,
+                                        DiscreteDistribution.uniform(n_weights),
+                                        lipschitz_sample=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        # a NaN used to give Lipschitz 0.0, an inf (inf, inf) and a warning
+        kernel = np.ones((4, 4))
+        kernel[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                kernel_association_measures(kernel,
+                                            PointSet(np.arange(4.0)[:, None]),
+                                            DiscreteDistribution.uniform(4))
+
+    def test_report_rejects_points_off_the_support(self):
+        rng = np.random.default_rng(5)
+        ctx = FiniteContext(rng.dirichlet(np.ones(6), size=6),
+                            DiscreteDistribution.uniform(6))
+        spec = contexture_svd(ctx)
+        pts = PointSet(rng.standard_normal((8, 2)))
+        with pytest.raises(ValueError, match="8 points"):
+            make_usefulness_report(spec, ctx, pts, d0=2, beta=1.0)
 
 
 class TestRatioTrace:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contexture import DiscreteDistribution, PointSet, kernel_association_measures
+from contexture import (DiscreteDistribution, PointSet, evaluation,
+                        kernel_association_measures)
 from contexture._linalg import (_DIST_BLOCK_ROWS, fix_signs, knn_index, nearest,
                                 sq_dists, top_eigenpairs)
 from contexture.evaluation import _GAP_BLOCK
@@ -158,6 +159,121 @@ def test_lipschitz_equals_per_row_loop(sample, extra, p, n_duplicates, seed):
             kernel_association_measures(*args)
     else:
         assert kernel_association_measures(*args)[1] == expected
+
+
+def tiled_lipschitz(kernel, points, lipschitz_sample):
+    """The difference-quotient maximum as an unscreened tile scan: every
+    tile of every strip of anchors is computed, none is skipped."""
+    n = kernel.shape[0]
+    idx = np.unique(np.round(np.linspace(0, n - 1, lipschitz_sample)).astype(int))
+    cols = kernel.T[np.ix_(idx, idx)]
+    pts = points[idx]
+    size = len(idx)
+    tile = np.empty((_GAP_BLOCK, _GAP_BLOCK, size))
+    best = 0.0
+    found_distinct = False
+    for a0 in range(0, size, _GAP_BLOCK):
+        anchors = cols[a0:a0 + _GAP_BLOCK, None, :]
+        gaps = np.empty((anchors.shape[0], size - a0))
+        for b0 in range(a0, size, _GAP_BLOCK):
+            others = cols[None, b0:b0 + _GAP_BLOCK, :]
+            diff = tile[:anchors.shape[0], :others.shape[1]]
+            np.subtract(anchors, others, out=diff)
+            np.abs(diff, out=diff)
+            np.max(diff, axis=2, out=gaps[:, b0 - a0:b0 - a0 + _GAP_BLOCK])
+        dists = np.sqrt(sq_dists(pts[a0:a0 + _GAP_BLOCK], pts[a0:]))
+        pairs = np.triu(dists > 0, 1)
+        if not pairs.any():
+            continue
+        found_distinct = True
+        best = max(best, float(np.max(gaps[pairs] / dists[pairs])))
+    return best if found_distinct else None
+
+
+def knn_product_kernel(pts, k):
+    """A nonnegative kNN kernel A A^T (A the row-normalised kNN graph)."""
+    n = len(pts)
+    graph = np.zeros((n, n))
+    np.put_along_axis(graph, knn_index(pts, min(k, n - 1)), 1.0 / k, axis=1)
+    return n * graph @ graph.T
+
+
+def screen_test_kernel(rng, kind, pts):
+    n = len(pts)
+    if kind == "mixed":
+        return rng.standard_normal((n, n))
+    if kind == "sparse":
+        return rng.exponential(size=(n, n)) * (rng.random((n, n)) < 0.1)
+    if kind == "knn":
+        return knn_product_kernel(pts, 3)
+    return 1.0 + 1e-9 * rng.standard_normal((n, n))  # near-constant
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample=st.sampled_from([2, _GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1,
+                               2 * _GAP_BLOCK, 3 * _GAP_BLOCK + 1,
+                               5 * _GAP_BLOCK - 1, 6 * _GAP_BLOCK]),
+       extra=st.integers(0, 9), p=st.integers(1, 3),
+       kind=st.sampled_from(["mixed", "sparse", "knn", "flat"]),
+       exponent=st.integers(-320, 300), n_duplicates=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_screened_lipschitz_equals_tiled_scan(sample, extra, p, kind, exponent,
+                                              n_duplicates, seed):
+    rng = np.random.default_rng(seed)
+    n = sample + extra
+    pts = grid_points(rng, n, p, levels=4)
+    pts[rng.integers(0, n, n_duplicates)] = pts[rng.integers(0, n, n_duplicates)]
+    kernel = screen_test_kernel(rng, kind, pts) * 10.0 ** exponent
+    expected = tiled_lipschitz(kernel, pts, sample)
+    args = (kernel, PointSet(pts), DiscreteDistribution.uniform(n), sample)
+    if expected is None:
+        with pytest.raises(ValueError, match="coincide"):
+            kernel_association_measures(*args)
+    else:
+        assert kernel_association_measures(*args)[1] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(2, 3 * _DIST_BLOCK_ROWS // 2), p=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_sq_dists_of_a_strip_equal_the_full_matrix(size, p, seed):
+    # the screened scan takes all distances at once; the tiled scan took
+    # them strip by strip
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((size, p)) * rng.uniform(0.01, 100.0)
+    full = sq_dists(pts, pts)
+    for a0 in range(0, size, _GAP_BLOCK):
+        strip = sq_dists(pts[a0:a0 + _GAP_BLOCK], pts[a0:])
+        assert np.array_equal(full[a0:a0 + _GAP_BLOCK, a0:], strip)
+
+
+@pytest.mark.parametrize("kind", ["knn", "rbf"])
+def test_screened_lipschitz_computes_few_tiles_in_float64(kind, monkeypatch):
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((200, 2))
+    if kind == "knn":
+        kernel = knn_product_kernel(pts, 10)
+    else:
+        kernel = np.exp(-0.1 * sq_dists(pts, pts))
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        kernel = kernel @ kernel.T * 200
+    tiles = {np.dtype(np.float32): 0, np.dtype(np.float64): 0}
+    strip_gaps = evaluation._strip_gaps
+
+    def counting(cols, a0, strip_tiles):
+        tiles[cols.dtype] += len(strip_tiles)
+        return strip_gaps(cols, a0, strip_tiles)
+
+    monkeypatch.setattr(evaluation, "_strip_gaps", counting)
+    got = kernel_association_measures(kernel, PointSet(pts),
+                                      DiscreteDistribution.uniform(200), 200)[1]
+    assert got == tiled_lipschitz(kernel, pts, 200)
+    n_tiles = 200 // _GAP_BLOCK * (200 // _GAP_BLOCK + 1) // 2
+    assert tiles[np.dtype(np.float64)] <= n_tiles // 100
+    if kind == "knn":  # the range bound alone skips most tiles
+        assert tiles[np.dtype(np.float32)] <= n_tiles // 2
+    else:  # a flat kernel: the float32 bound does the skipping
+        assert tiles[np.dtype(np.float32)] >= n_tiles // 2
 
 
 @settings(max_examples=30, deadline=None)
