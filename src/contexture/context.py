@@ -152,15 +152,8 @@ class FiniteContext:
 
 
 # ---------------------------------------------------------------------------
-# raw conditional builders (full N x N, before support restriction)
+# feature-subset mixtures (every kNN and RBF context is one)
 # ---------------------------------------------------------------------------
-
-def _knn_conditional(points: np.ndarray, k: int) -> np.ndarray:
-    n = points.shape[0]
-    q_mat = np.zeros((n, n))
-    q_mat[np.repeat(np.arange(n), k), knn_index(points, k).ravel()] = 1.0 / k
-    return q_mat
-
 
 def _rbf_conditional(points: np.ndarray, gamma: float) -> np.ndarray:
     # log-space with per-row max subtraction; the self term makes the max 0
@@ -186,12 +179,39 @@ def _base_param(n: int, kind: str, param) -> int | float:
     raise ValueError(f"unknown base builder {kind!r} (expected knn or rbf)")
 
 
-def _base_conditional(points: np.ndarray, kind: str, param) -> np.ndarray:
-    """Raw conditional of a base kind, after checking its parameter."""
-    param = _base_param(points.shape[0], kind, param)
-    if kind == "knn":
-        return _knn_conditional(points, param)
-    return _rbf_conditional(points, param)
+def _mixture(points: PointSet, kind: str, param,
+             subsets: dict[tuple[int, ...], int], label: str) -> FiniteContext:
+    """Average of base contexts over feature subsets, weighted by count.
+
+    Each subset is built once; a plain context is all features at count 1.
+    kNN adds 1/k once per count, and adding to 0.0 is exact, so it is
+    bitwise the one-by-one average; RBF adds each subset's conditional
+    times its count, which differs from that only in roundoff.
+    """
+    n = points.n_points
+    param = _base_param(n, kind, param)
+    accum = np.zeros((n, n)) if kind == "knn" else None
+    for keep, count in subsets.items():
+        # all features are the points as given: a plain build copies nothing
+        surviving = (points.points if keep == tuple(range(points.n_features))
+                     else np.ascontiguousarray(points.points[:, list(keep)]))
+        if kind == "knn":
+            rows = np.repeat(np.arange(n), param)
+            cols = knn_index(surviving, param).ravel()
+            for _ in range(count):
+                accum[rows, cols] += 1.0 / param
+            del rows, cols  # n * k each: held on, they fragment the heap
+        else:
+            conditional = _rbf_conditional(surviving, param)
+            conditional *= count
+            if accum is None:
+                accum = conditional
+            else:
+                accum += conditional
+            del conditional  # not held while the next subset is built
+    accum /= sum(subsets.values())
+    return FiniteContext(accum, DiscreteDistribution.uniform(n), label=label,
+                         same_support=True)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +224,14 @@ def build_knn_context(points: PointSet, k: int) -> FiniteContext:
     Euclidean distance; a point is never its own neighbor; ties at the
     k-th distance are broken by ascending point index.
     """
-    return FiniteContext(_base_conditional(points.points, "knn", k),
-                         DiscreteDistribution.uniform(points.n_points),
-                         label=f"knn:{k}", same_support=True)
+    return _mixture(points, "knn", k, {tuple(range(points.n_features)): 1},
+                    f"knn:{k}")
 
 
 def build_rbf_context(points: PointSet, gamma: float) -> FiniteContext:
     """Rows proportional to exp(-gamma * squared distance), self included."""
-    return FiniteContext(_base_conditional(points.points, "rbf", gamma),
-                         DiscreteDistribution.uniform(points.n_points),
-                         label=f"rbf:{gamma:g}", same_support=True)
+    return _mixture(points, "rbf", gamma,
+                    {tuple(range(points.n_features)): 1}, f"rbf:{gamma:g}")
 
 
 def build_masked_context(points: PointSet, base: tuple[str, float],
@@ -229,10 +247,7 @@ def build_masked_context(points: PointSet, base: tuple[str, float],
 
     All masks are drawn first and each distinct surviving subset is built
     once, so the build cost scales with the number of distinct subsets,
-    at most C(p, round(mask_fraction * p)), not with ``n_masks``. A kNN
-    mixture is bitwise the mask-by-mask average; an RBF one adds each
-    subset's conditional times its mask count, which differs from adding
-    it once per mask only in roundoff.
+    at most C(p, round(mask_fraction * p)), not with ``n_masks``.
     """
     kind, param = base
     if n_masks < 1:
@@ -244,8 +259,6 @@ def build_masked_context(points: PointSet, base: tuple[str, float],
     if n_masked >= p:
         raise ValueError(
             f"mask_fraction={mask_fraction} removes all {p} features")
-    n = points.n_points
-    checked = _base_param(n, kind, param)
     rng = np.random.default_rng(seed)
     # surviving feature subset -> number of masks that leave it
     subsets: dict[tuple[int, ...], int] = {}
@@ -253,25 +266,8 @@ def build_masked_context(points: PointSet, base: tuple[str, float],
         masked = rng.choice(p, size=n_masked, replace=False)
         keep = tuple(np.setdiff1d(np.arange(p), masked).tolist())
         subsets[keep] = subsets.get(keep, 0) + 1
-    accum = np.zeros((n, n))
-    for keep, count in subsets.items():
-        surviving = np.ascontiguousarray(points.points[:, list(keep)])
-        if kind == "knn":
-            rows = np.repeat(np.arange(n), checked)
-            cols = knn_index(surviving, checked).ravel()
-            # every nonzero term of an entry's per-mask sum is the same 1/k
-            # and adding 0.0 is exact, so adding 1/k once per mask, subset
-            # by subset, gives the bits of the mask-by-mask dense sum
-            for _ in range(count):
-                accum[rows, cols] += 1.0 / checked
-        else:
-            conditional = _rbf_conditional(surviving, checked)
-            conditional *= count
-            accum += conditional
-            del conditional  # not held while the next subset is built
-    label = f"{kind}+mask:{param:g}:{mask_fraction:g}:{n_masks}"
-    return FiniteContext(accum / n_masks, DiscreteDistribution.uniform(n),
-                         label=label, same_support=True)
+    return _mixture(points, kind, param, subsets,
+                    f"{kind}+mask:{param:g}:{mask_fraction:g}:{n_masks}")
 
 
 def build_label_context(labels: np.ndarray) -> FiniteContext:
@@ -357,18 +353,16 @@ def build_from_descriptor(descriptor: str, points: PointSet | None = None,
         return build_graph_context(adjacency)
     if points is None:
         raise ValueError(f"descriptor {descriptor!r} needs a point set")
-    if kind == "knn":
-        return build_knn_context(points, spec["k"])
-    if kind == "rbf":
-        return build_rbf_context(points, spec["gamma"])
-    if kind == "knn+mask":
-        return build_masked_context(points, ("knn", spec["k"]),
-                                    spec["mask_fraction"], spec["n_masks"],
-                                    seed)
-    if kind == "rbf+mask":
-        return build_masked_context(points, ("rbf", spec["gamma"]),
-                                    spec["mask_fraction"], spec["n_masks"],
-                                    seed)
+    base, _, mask = kind.partition("+")
+    if base in ("knn", "rbf"):
+        param = spec["k"] if base == "knn" else spec["gamma"]
+        if mask:
+            return build_masked_context(points, (base, param),
+                                        spec["mask_fraction"],
+                                        spec["n_masks"], seed)
+        # looked up at call time, so a wrapped plain builder is the one called
+        plain = build_knn_context if base == "knn" else build_rbf_context
+        return plain(points, param)
     if kind == "label":
         if points.labels is None:
             raise ValueError("label context needs a labeled point set")

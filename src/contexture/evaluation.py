@@ -227,8 +227,8 @@ def usefulness_metric(singular_values, d0: int, beta: float) -> TauFragment:
     """
     if d0 < 1:
         raise ValueError("d0 must be at least 1")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     s = np.clip(np.asarray(singular_values, dtype=float), 0.0, 1.0)
     sq = np.zeros(d0 + 1)
     take = min(s.size, d0 + 1)

@@ -12,8 +12,8 @@ import configparser
 import csv
 import json
 import os
-import tempfile
-from dataclasses import asdict, dataclass
+import secrets
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +64,8 @@ class ExperimentConfig:
         self.d_grid = [int(d) for d in self.d_grid]
         # caught here, not per context: each would fail every context of
         # the sweep, and d = 0 would score an empty embedding
-        if self.d0 < 1 or not self.beta > 0:
-            raise ValueError("d0 must be at least 1 and beta positive")
+        if self.d0 < 1 or not 0 < self.beta < np.inf:
+            raise ValueError("d0 must be at least 1 and beta positive and finite")
         if not all(0 < g < np.inf for g in self.ridge_grid):
             raise ValueError("ridge penalties must be positive and finite")
         if min(self.d_grid) < 1:
@@ -82,6 +82,9 @@ def load_config(path) -> ExperimentConfig:
     if not read or "experiment" not in parser:
         raise ValueError(f"config {path} must contain an [experiment] section")
     sec = parser["experiment"]
+    unknown = sorted(set(sec) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"config {path} has unknown [experiment] keys: {unknown}")
     for key in ("dataset_path", "target_column", "context_grid",
                 "ridge_grid", "d_grid"):
         if not sec.get(key):
@@ -90,7 +93,7 @@ def load_config(path) -> ExperimentConfig:
     def split_list(key):
         return [tok.strip() for tok in sec[key].split(",") if tok.strip()]
 
-    fields = {"dataset_path": sec["dataset_path"],
+    values = {"dataset_path": sec["dataset_path"],
               "target_column": sec["target_column"],
               "context_grid": split_list("context_grid"),
               "ridge_grid": [float(v) for v in split_list("ridge_grid")],
@@ -99,9 +102,9 @@ def load_config(path) -> ExperimentConfig:
     optional = {"d0": sec.getint, "beta": sec.getfloat, "seed": sec.getint,
                 "split_fractions": lambda key: tuple(
                     float(v) for v in split_list(key))}
-    fields.update({key: parse(key) for key, parse in optional.items()
+    values.update({key: parse(key) for key, parse in optional.items()
                    if key in sec})
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**values)
 
 
 def default_context_grid(n_pretrain: int, per_family: int = 35) -> list[str]:
@@ -330,8 +333,10 @@ def write_report(report: dict, path, fmt: str = "json") -> None:
         payload = _report_csv(report)
     else:
         raise ValueError(f"format must be json or csv, got {fmt!r}")
+    # O_EXCL on a random name like mkstemp, but mode 0o666 so the umask applies
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)

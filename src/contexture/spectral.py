@@ -174,8 +174,8 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     p = ctx.input_marginal.weights
     q = ctx.context_marginal.weights
     sp, sq = np.sqrt(p), np.sqrt(q)
-    whitened = sp[:, None] * ctx.conditional / sq[None, :]
-    deflated = whitened - np.outer(sp, sq)
+    deflated = sp[:, None] * ctx.conditional / sq[None, :]
+    deflated -= np.outer(sp, sq)
 
     keep = rank - 1
     triplets = None

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from contexture.cli import main
+from contexture.context import PointSet, build_knn_context
 from contexture.datasets import make_waves
+from contexture.harness import zscore_by_reference
+from contexture.spectral import contexture_svd, load_spectrum
 from contexture.verify import verify_theorems
 
 
@@ -42,6 +45,31 @@ def test_spectrum_then_metric(tmp_path, waves_csv, capsys):
     lines = curve_path.read_text().strip().split("\n")
     assert lines[0] == "d,tau_d"
     assert len(lines) == 5
+
+
+def test_spectrum_without_target_uses_every_column(tmp_path, waves_csv):
+    spec_path = tmp_path / "spec.json"
+    assert main(["spectrum", "--context", "knn:5", "--input", str(waves_csv),
+                 "--out", str(spec_path)]) == 0
+    table = np.loadtxt(waves_csv, delimiter=",", skiprows=1)
+    values = {}
+    for name, cols in (("all", table), ("features", table[:, :-1])):
+        points = PointSet(zscore_by_reference(cols, np.arange(cols.shape[0])))
+        values[name] = contexture_svd(
+            build_knn_context(points, 5)).singular_values
+    saved = load_spectrum(spec_path).singular_values
+    assert np.array_equal(saved, values["all"])
+    assert not np.array_equal(saved, values["features"])
+
+
+def test_metric_infinite_beta_is_usage_error(tmp_path, waves_csv, capsys):
+    spec_path = tmp_path / "spec.json"
+    assert main(["spectrum", "--context", "rbf:0.5", "--input",
+                 str(waves_csv), "--target", "y", "--out", str(spec_path)]) == 0
+    capsys.readouterr()
+    assert main(["metric", "--spectrum", str(spec_path), "--beta", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
 
 
 def test_learn_and_evaluate(tmp_path, waves_csv, capsys):
@@ -172,6 +200,21 @@ def test_verify_subcommand(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["all_passed"] is True
     assert "all checks passed" in capsys.readouterr().out
+
+
+def test_verify_csv_has_a_row_per_check(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    rc = main(["verify", "--n", "12", "--m", "10", "--trials", "1",
+               "--seed", "0", "--out", str(out), "--format", "csv"])
+    assert rc == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("[")]
+    lines = out.read_text().splitlines()
+    assert lines[0] == "name,max_residual,tolerance,passed"
+    assert len(printed) > 0 and len(lines) == 1 + len(printed)
+    for line, shown in zip(lines[1:], printed):
+        name, _, _, passed = line.split(",")
+        assert shown.startswith(f"[pass] {name}:") and passed == "True"
 
 
 @pytest.mark.parametrize("size", [["--n", "3"], ["--m", "2"]])

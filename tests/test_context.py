@@ -9,7 +9,8 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         build_knn_context, build_label_context,
                         build_masked_context, build_rbf_context,
                         parse_descriptor)
-from contexture.context import _base_conditional, _rbf_conditional
+from contexture._linalg import knn_index
+from contexture.context import _rbf_conditional
 
 
 def line_points(*xs):
@@ -193,6 +194,18 @@ class TestMasked:
         assert str(raised.value) == str(expected.value)
 
 
+def raw_knn_conditional(points, k):
+    """The dense kNN conditional as built before the one mixture path: a
+    zero matrix plus one 1/k scatter per row."""
+    n = points.shape[0]
+    q_mat = np.zeros((n, n))
+    q_mat[np.repeat(np.arange(n), k), knn_index(points, k).ravel()] = 1.0 / k
+    return q_mat
+
+
+RAW_BUILDERS = {"knn": raw_knn_conditional, "rbf": _rbf_conditional}
+
+
 def per_mask_oracle(points, base, mask_fraction, n_masks, seed):
     """The mask-by-mask mixture: one base build per drawn mask, summed in
     draw order, whatever subsets repeat."""
@@ -203,8 +216,8 @@ def per_mask_oracle(points, base, mask_fraction, n_masks, seed):
     for _ in range(n_masks):
         masked = rng.choice(p, size=n_masked, replace=False)
         keep = np.setdiff1d(np.arange(p), masked)
-        accum += _base_conditional(
-            np.ascontiguousarray(points.points[:, keep]), *base)
+        accum += RAW_BUILDERS[base[0]](
+            np.ascontiguousarray(points.points[:, keep]), base[1])
     return FiniteContext(accum / n_masks,
                          DiscreteDistribution.uniform(points.n_points),
                          same_support=True)
@@ -225,6 +238,40 @@ def grid_masking(draw):
     # 1/k terms one by one and multiplying by the count differ in roundoff
     return (points, n_masked / p, draw(st.integers(1, 40)),
             draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestPlainAgainstRawBuilders:
+    @settings(max_examples=80, deadline=None)
+    @given(grid_masking(), st.data())
+    def test_plain_builders_are_bitwise_the_raw_ones(self, masking, data):
+        points = masking[0]
+        k = data.draw(st.integers(1, points.n_points - 1))
+        gamma = data.draw(st.floats(0.05, 5.0))
+        uniform = DiscreteDistribution.uniform(points.n_points)
+        for ctx, raw, label in ((build_knn_context(points, k),
+                                 raw_knn_conditional(points.points, k),
+                                 f"knn:{k}"),
+                                (build_rbf_context(points, gamma),
+                                 _rbf_conditional(points.points, gamma),
+                                 f"rbf:{gamma:g}")):
+            ref = FiniteContext(raw, uniform, same_support=True)
+            assert np.array_equal(ctx.conditional, ref.conditional)
+            assert np.array_equal(ctx.context_ids, ref.context_ids)
+            assert ctx.same_support == ref.same_support
+            assert ctx.label == label
+
+    def test_plain_builders_use_the_points_as_given(self):
+        # a column selection is not C-contiguous, and distances summed over
+        # a contiguous copy of it can differ in the last bit
+        raw = np.random.default_rng(7).standard_normal((40, 4))[:, [0, 2, 3]]
+        points = PointSet(raw)
+        uniform = DiscreteDistribution.uniform(40)
+        for ctx, ref in ((build_knn_context(points, 5),
+                          raw_knn_conditional(raw, 5)),
+                         (build_rbf_context(points, 0.7),
+                          _rbf_conditional(raw, 0.7))):
+            expected = FiniteContext(ref, uniform, same_support=True)
+            assert np.array_equal(ctx.conditional, expected.conditional)
 
 
 class TestMaskedAgainstPerMaskLoop:

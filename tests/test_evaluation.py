@@ -13,6 +13,7 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         mutual_knn, ratio_trace, trace_gap_bound,
                         usefulness_metric, worst_case_err)
 from contexture._linalg import orthonormal_basis
+from contexture.context import build_label_context
 from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
 from contexture.spectral import ContextureSpectrum
 from contexture.verify import random_dense_context
@@ -180,6 +181,16 @@ class TestLinearProbe:
             fit_linear_probe((np.ones((5, 1)), np.ones(5)),
                              (np.ones((2, 1)), np.ones(2)), [1e-3, np.nan])
 
+    def test_one_dimensional_features_are_one_column(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(30)
+        y = 2.0 * x - 1.0
+        flat = fit_linear_probe((x[:24], y[:24]), (x[24:], y[24:]), [1e-3])
+        column = fit_linear_probe((x[:24, None], y[:24]),
+                                  (x[24:, None], y[24:]), [1e-3])
+        assert np.array_equal(flat.weights, column.weights)
+        assert flat.bias == column.bias and flat.test_mse == column.test_mse
+
     def test_infinite_penalty_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             fit_linear_probe((np.ones((5, 1)), np.ones(5)),
@@ -217,6 +228,11 @@ class TestUsefulnessMetric:
     def test_nan_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             usefulness_metric(np.sqrt([0.8, 0.5]), d0=3, beta=float("nan"))
+
+    def test_infinite_beta_rejected(self):
+        # inf used to score tau = inf at every d
+        with pytest.raises(ValueError, match="finite"):
+            usefulness_metric(np.sqrt([0.8, 0.5]), d0=3, beta=float("inf"))
 
 
 class TestDecayRate:
@@ -342,6 +358,16 @@ class TestAssociationMeasures:
                 kernel_association_measures(kernel,
                                             PointSet(np.arange(4.0)[:, None]),
                                             DiscreteDistribution.uniform(4))
+
+    def test_report_decay_rate_is_nan_below_three_values(self):
+        # a 3-class label context has 2 nontrivial values, too few to fit
+        labels = np.arange(9) % 3
+        ctx = build_label_context(labels)
+        pts = PointSet(np.arange(9.0)[:, None])
+        rep = make_usefulness_report(contexture_svd(ctx), ctx, pts, d0=2,
+                                     beta=1.0)
+        assert np.isnan(rep.decay_rate)
+        assert np.isfinite(rep.tau)
 
     def test_report_rejects_points_off_the_support(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,22 @@ class TestConfig:
         assert set(defaults) == {"split_fractions", "d0", "beta", "seed"}
         assert {name: getattr(cfg, name) for name in defaults} == defaults
 
+    def test_unknown_keys_rejected(self, tmp_path):
+        # these used to load silently as seed 0 and beta 1.0
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            "[experiment]\n"
+            "dataset_path = data/waves.csv\n"
+            "target_column = y\n"
+            "context_grid = rbf:0.5\n"
+            "ridge_grid = 1e-3\n"
+            "d_grid = 1\n"
+            "sed = 7\n"
+            "betta = 5.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown [experiment] keys: ['betta', 'sed']")):
+            load_config(cfg_path)
+
     def test_fractions_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ExperimentConfig(dataset_path="x", target_column="y",
@@ -167,7 +184,7 @@ class TestConfig:
         {"d0": 0}, {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")},
         {"ridge_grid": [1e-3, 0.0]}, {"ridge_grid": [-1.0]},
         {"d_grid": [0, 2]}, {"split_fractions": (float("nan"), 0.5, 0.5)},
-        {"ridge_grid": [float("inf")]}])
+        {"ridge_grid": [float("inf")]}, {"beta": float("inf")}])
     def test_values_that_fail_every_context_rejected(self, bad):
         fields = {"dataset_path": "x", "target_column": "y",
                   "context_grid": ["rbf:1"], "ridge_grid": [1e-3],
@@ -202,6 +219,15 @@ class TestWriteReport:
         with pytest.raises(OSError, match="failed writing report"):
             write_report({"summary": {}}, target)
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        # a report used to be written owner-only (0600), as mkstemp creates
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x")
+        path = tmp_path / "report.json"
+        write_report({"summary": {}}, path)
+        assert path.stat().st_mode == plain.stat().st_mode
 
     def test_concurrent_distinct_paths(self, tmp_path):
         import threading
