@@ -13,7 +13,8 @@ from .errors import NumericalError
 
 # rows per block in ``sq_dists``: bounds the difference tensor it builds
 _DIST_BLOCK_ROWS = 256
-# ``sym_inv_sqrt`` rejects a matrix whose eigenvalue ratio is below this
+# ``whiten_columns`` raises when (s_min / s_max)^2 of the centred span is
+# below this; the span's rank cut drops only values far below it
 _WHITEN_REL_FLOOR = 1e-13
 # relative size below which a singular value or residual counts as zero
 _RANK_REL_TOL = 1e-10
@@ -25,7 +26,9 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Differences are squared and summed directly, in blocks of rows, rather
     than through the Gram identity |a|^2 + |b|^2 - 2ab, which would turn
     the exact zeros of duplicate rows and exact distance ties into roundoff.
+    Both inputs are made C-contiguous, so every layout sums in one order.
     """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     out = np.empty((a.shape[0], b.shape[0]))
     for start in range(0, a.shape[0], _DIST_BLOCK_ROWS):
         diff = a[start:start + _DIST_BLOCK_ROWS, None, :] - b[None, :, :]
@@ -103,24 +106,17 @@ def weighted_cov(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return centered.T @ (weights[:, None] * centered)
 
 
-def sym_inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric PSD matrix.
-
-    Raises NumericalError if the matrix is numerically rank deficient,
-    since a degenerate covariance cannot be whitened.
-    """
-    mat = 0.5 * (mat + mat.T)
-    evals, evecs = np.linalg.eigh(mat)
-    top = float(evals[-1])
-    if top <= 0.0 or evals[0] < _WHITEN_REL_FLOOR * top:
-        raise NumericalError("matrix is numerically singular; cannot whiten")
-    return (evecs / np.sqrt(evals)) @ evecs.T
-
-
 def whiten_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Center columns and transform them to identity covariance."""
-    centered = weighted_center(values, weights)
-    return centered @ sym_inv_sqrt(weighted_cov(values, weights))
+    """Center columns and transform them to identity covariance.
+
+    The symmetric whitening X C^(-1/2) as the polar factor W^(-1/2) U V^T
+    of the centred span's SVD, so C is never formed; raises NumericalError
+    if C is numerically singular.
+    """
+    u, s, vt = span_svd(weighted_center(values, weights), weights)
+    if s.size < values.shape[1] or s[-1] ** 2 < _WHITEN_REL_FLOOR * s[0] ** 2:
+        raise NumericalError("covariance is numerically singular; cannot whiten")
+    return (u @ vt) / np.sqrt(weights)[:, None]
 
 
 def span_svd(values: np.ndarray, weights: np.ndarray, center: bool = False):

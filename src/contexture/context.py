@@ -192,9 +192,7 @@ def _mixture(points: PointSet, kind: str, param,
     param = _base_param(n, kind, param)
     accum = np.zeros((n, n)) if kind == "knn" else None
     for keep, count in subsets.items():
-        # all features are the points as given: a plain build copies nothing
-        surviving = (points.points if keep == tuple(range(points.n_features))
-                     else np.ascontiguousarray(points.points[:, list(keep)]))
+        surviving = points.points[:, list(keep)]
         if kind == "knn":
             rows = np.repeat(np.arange(n), param)
             cols = knn_index(surviving, param).ravel()

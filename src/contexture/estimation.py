@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (fix_signs, sym_inv_sqrt, top_eigenpairs, weighted_cov,
-                      weighted_norm)
+from ._linalg import fix_signs, top_eigenpairs, weighted_cov, weighted_norm
 from .context import DiscreteDistribution, FiniteContext
+from .errors import NumericalError
 from .objectives import SampleEncoder
 from .spectral import adjoint_matrix
 
@@ -109,7 +109,10 @@ def estimate_spectrum_posthoc(enc: SampleEncoder, cov: CovariancePair,
     if not 1 <= top <= d:
         raise ValueError(f"top must be in [1, {d}]")
     reg = cov.c_phi + 1e-10 * np.trace(cov.c_phi) * np.eye(d)
-    half = sym_inv_sqrt(reg)
+    evals, evecs = np.linalg.eigh(reg)
+    if evals[-1] <= 0:  # the ridge is zero too: the centred encoder is zero
+        raise NumericalError("encoder has zero covariance; cannot whiten")
+    half = (evecs / np.sqrt(evals)) @ evecs.T
     core = half @ cov.b_phi @ half
     eigenvalues, evecs = top_eigenpairs(core, top)
     funcs = enc.centered() @ (half @ evecs)

@@ -229,7 +229,10 @@ def usefulness_metric(singular_values, d0: int, beta: float) -> TauFragment:
         raise ValueError("d0 must be at least 1")
     if not 0 < beta < np.inf:
         raise ValueError("beta must be positive and finite")
-    s = np.clip(np.asarray(singular_values, dtype=float), 0.0, 1.0)
+    s = np.asarray(singular_values, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("singular values must be finite")
+    s = np.clip(s, 0.0, 1.0)
     sq = np.zeros(d0 + 1)
     take = min(s.size, d0 + 1)
     sq[:take] = s[:take] ** 2

@@ -73,13 +73,22 @@ class ContextureSpectrum:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContextureSpectrum":
-        return cls(
-            singular_values=np.asarray(data["singular_values"], dtype=float),
-            left_functions=np.asarray(data["left"], dtype=float),
-            right_functions=np.asarray(data["right"], dtype=float),
-            input_marginal=DiscreteDistribution(np.asarray(data["p_x"], dtype=float)),
-            context_marginal=DiscreteDistribution(np.asarray(data["p_a"], dtype=float)),
-        )
+        """Inverse of ``to_json_dict``; raises ValueError unless every entry
+        is finite and ``left``/``right`` hold one column per value."""
+        values, left, right = (np.asarray(data[key], dtype=float)
+                               for key in ("singular_values", "left", "right"))
+        p_x = DiscreteDistribution(np.asarray(data["p_x"], dtype=float))
+        p_a = DiscreteDistribution(np.asarray(data["p_a"], dtype=float))
+        r = values.size
+        if (values.ndim != 1 or left.shape != (len(p_x), r)
+                or right.shape != (len(p_a), r)):
+            raise ValueError(
+                f"spectrum with {r} values needs left of shape ({len(p_x)}, {r}) "
+                f"and right of shape ({len(p_a)}, {r}); got {left.shape} and "
+                f"{right.shape}")
+        if not all(np.isfinite(arr).all() for arr in (values, left, right)):
+            raise ValueError("spectrum entries must be finite")
+        return cls(values, left, right, p_x, p_a)
 
 
 def adjoint_matrix(ctx: FiniteContext) -> np.ndarray:

@@ -72,6 +72,25 @@ def test_metric_infinite_beta_is_usage_error(tmp_path, waves_csv, capsys):
     assert captured.out == "" and "finite" in captured.err
 
 
+@pytest.mark.parametrize("corrupt", ["nan_value", "short_left", "short_right"])
+def test_metric_rejects_a_malformed_spectrum(tmp_path, waves_csv, capsys, corrupt):
+    spec_path = tmp_path / "spec.json"
+    assert main(["spectrum", "--context", "rbf:0.5", "--input", str(waves_csv),
+                 "--target", "y", "--top", "3", "--out", str(spec_path)]) == 0
+    data = json.loads(spec_path.read_text())
+    if corrupt == "nan_value":
+        data["singular_values"][1] = float("nan")
+    elif corrupt == "short_left":
+        data["left"] = [row[:2] for row in data["left"]]
+    else:
+        data["right"] = [row[:1] for row in data["right"][:2]]
+    spec_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["metric", "--spectrum", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+
+
 def test_learn_and_evaluate(tmp_path, waves_csv, capsys):
     enc_path = tmp_path / "enc.csv"
     rc = main(["learn", "--objective", "supervised_balanced",

@@ -261,8 +261,8 @@ class TestPlainAgainstRawBuilders:
             assert ctx.label == label
 
     def test_plain_builders_use_the_points_as_given(self):
-        # a column selection is not C-contiguous, and distances summed over
-        # a contiguous copy of it can differ in the last bit
+        # a column selection is not C-contiguous; the builders give the raw
+        # builders' bits on it (sq_dists sums in one order for every layout)
         raw = np.random.default_rng(7).standard_normal((40, 4))[:, [0, 2, 3]]
         points = PointSet(raw)
         uniform = DiscreteDistribution.uniform(40)

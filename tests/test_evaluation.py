@@ -234,6 +234,12 @@ class TestUsefulnessMetric:
         with pytest.raises(ValueError, match="finite"):
             usefulness_metric(np.sqrt([0.8, 0.5]), d0=3, beta=float("inf"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, bad):
+        # np.clip passes NaN through, so the check must come before it
+        with pytest.raises(ValueError, match="finite"):
+            usefulness_metric(np.array([0.9, bad, 0.3]), d0=3, beta=1.0)
+
 
 class TestDecayRate:
     def test_exact_exponential(self):

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contexture import (DiscreteDistribution, PointSet, evaluation,
+from contexture import (DiscreteDistribution, NumericalError, PointSet,
+                        SampleEncoder, eval_objective, evaluation,
                         kernel_association_measures)
 from contexture._linalg import (_DIST_BLOCK_ROWS, fix_signs, knn_index, nearest,
-                                sq_dists, top_eigenpairs)
+                                sq_dists, top_eigenpairs, weighted_center,
+                                weighted_cov, whiten_columns)
 from contexture.evaluation import _GAP_BLOCK
 from contexture.harness import extend_encoder
+from contexture.objectives import _FORMS, ObjectiveKind
+from contexture.verify import random_graph_context
 
 
 def unblocked_sq_dists(a, b):
@@ -36,6 +40,27 @@ def test_sq_dists_bitwise_equal_to_unblocked(n_a, n_b, p, seed):
     assert np.array_equal(got, unblocked_sq_dists(a, b))
     dup_rows, dup_cols = np.nonzero((a[:, None, :] == b[None, :, :]).all(axis=2))
     assert np.all(got[dup_rows, dup_cols] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), p=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_sq_dists_is_independent_of_memory_layout(n_a, n_b, p, seed, data):
+    # a column selection, a strided view, an F-ordered and a C-ordered copy
+    # of the same values: the sum over features runs in one order for all
+    rng = np.random.default_rng(seed)
+    cols = data.draw(st.permutations(range(2 * p)))[:p]
+    layouts = []
+    for rows in (n_a, n_b):
+        wide = rng.standard_normal((rows, 2 * p)) * rng.uniform(0.01, 100.0)
+        picked = wide[:, cols]
+        wide[:, ::2] = picked
+        layouts.append((picked, wide[:, ::2], np.asfortranarray(picked),
+                        np.ascontiguousarray(picked)))
+    ref = sq_dists(layouts[0][-1], layouts[1][-1])
+    for a in layouts[0]:
+        for b in layouts[1]:
+            assert np.array_equal(sq_dists(a, b), ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -311,3 +336,57 @@ def test_fix_signs_peak_positive_paired_and_idempotent(n, d, seed, integer):
     fix_signs(again, again_other)
     assert np.array_equal(again, fixed)
     assert np.array_equal(again_other, fixed_other)
+
+
+def conditioned_values(rng, weights, d, cond):
+    """n x d values whose weighted centred columns have singular values
+    log-spaced from 1 down to 1 / cond, plus a constant offset per column."""
+    root = np.sqrt(weights)[:, None]
+    centred = weighted_center(rng.standard_normal((weights.size, d)), weights)
+    basis = np.linalg.qr(root * centred)[0] / root  # weighted-orthonormal
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    scales = np.logspace(0.0, -np.log10(cond), d)
+    return basis @ (scales[:, None] * rotation) + rng.uniform(-3.0, 3.0, d)
+
+
+CONSTRAINED_KINDS = [kind for kind in ObjectiveKind if _FORMS[kind].constrained]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 60), d=st.integers(1, 4), log_cond=st.floats(0.0, 6.0),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_whiten_columns_is_the_symmetric_whitening(n, d, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    ctx = random_graph_context(rng, n)
+    for kind in CONSTRAINED_KINDS:
+        marginal = _FORMS[kind].marginals(ctx)[0]
+        w = marginal.weights
+        x = conditioned_values(rng, w, d, 10.0 ** log_cond)
+        white = whiten_columns(x, w)
+        assert np.max(np.abs(weighted_cov(white, w) - np.eye(d))) <= 1e-12
+        # X_c^T W Y = C^(1/2): symmetric positive definite, so no rotation
+        # follows the whitening
+        half = weighted_center(x, w).T @ (w[:, None] * white)
+        assert np.max(np.abs(half - half.T)) <= 1e-12 * np.max(np.abs(half))
+        assert np.linalg.eigvalsh(0.5 * (half + half.T))[0] > 0.0
+        enc = SampleEncoder(white, _FORMS[kind].support, marginal)
+        assert np.isfinite(eval_objective(kind, ctx, enc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["duplicate", "constant", "wide", "ill_conditioned"]),
+       n=st.integers(6, 40), d=st.integers(2, 4), seed=st.integers(0, 2 ** 31 - 1))
+def test_whiten_columns_rejects_a_singular_covariance(case, n, d, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.full(n, 5.0))
+    if case == "wide":
+        x = rng.standard_normal((n, n + d - 2))  # d >= n columns
+    else:
+        x = conditioned_values(rng, w, d, 10.0 ** (7.0 if case == "ill_conditioned"
+                                                    else rng.uniform(0.0, 3.0)))
+    if case == "duplicate":
+        x[:, -1] = x[:, 0]
+    if case == "constant":
+        x[:, -1] = rng.uniform(-3.0, 3.0)
+    with pytest.raises(NumericalError, match="singular"):
+        whiten_columns(x, w)

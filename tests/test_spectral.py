@@ -12,7 +12,8 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         load_spectrum, positive_pair_kernel,
                         reconstruct_joint, save_spectrum, spectral)
 from contexture._linalg import weighted_norm
-from contexture.spectral import CLAMP_TOL, GRAM_MIN_SIDE, GRAM_RANK_DIVISOR
+from contexture.spectral import (CLAMP_TOL, GRAM_MIN_SIDE, GRAM_RANK_DIVISOR,
+                                ContextureSpectrum)
 
 # backward error of the dense SVD oracle, about n * eps * |W|: what Wedin's
 # bound grants a certified rank-r spectrum over the dense one
@@ -246,6 +247,34 @@ class TestSerialization:
         save_spectrum(contexture_svd(two_state), path)
         data = json.loads(path.read_text())
         assert set(data) == {"singular_values", "left", "right", "p_x", "p_a"}
+
+    @pytest.mark.parametrize("field, row", [("singular_values", None),
+                                            ("left", 0), ("right", 1)])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected(self, two_state, field, row, bad):
+        data = contexture_svd(two_state).to_json_dict()
+        target = data[field] if row is None else data[field][row]
+        target[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ContextureSpectrum.from_json_dict(data)
+
+    @pytest.mark.parametrize("field, shape", [
+        ("singular_values", (3,)), ("singular_values", (1, 2)),
+        ("left", (2, 1)), ("left", (3, 2)), ("right", (2, 3)), ("right", (1, 2))])
+    def test_function_shapes_must_match_values_and_marginals(
+            self, two_state, field, shape):
+        # two_state: 2 values, 2 input and 2 context points
+        data = contexture_svd(two_state).to_json_dict()
+        data[field] = np.full(shape, 0.5).tolist()
+        with pytest.raises(ValueError, match="shape|values"):
+            ContextureSpectrum.from_json_dict(data)
+
+    def test_truncated_spectrum_round_trips(self):
+        # fewer value columns than points, and 9 inputs against 6 contexts
+        spec = contexture_svd(random_context(3, 9, 6), rank=4)
+        back = ContextureSpectrum.from_json_dict(spec.to_json_dict())
+        for field in ("singular_values", "left_functions", "right_functions"):
+            assert np.array_equal(getattr(back, field), getattr(spec, field))
 
 
 # ---------------------------------------------------------------------------
