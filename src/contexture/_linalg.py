@@ -14,7 +14,8 @@ from .errors import NumericalError
 # rows per block in ``sq_dists``: bounds the difference tensor it builds
 _DIST_BLOCK_ROWS = 256
 # ``whiten_columns`` raises when (s_min / s_max)^2 of the centred span is
-# below this; the span's rank cut drops only values far below it
+# below this, or when the span's rank cut has dropped what centring left
+# as roundoff
 _WHITEN_REL_FLOOR = 1e-13
 # relative size below which a singular value or residual counts as zero
 _RANK_REL_TOL = 1e-10
@@ -111,9 +112,9 @@ def whiten_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     The symmetric whitening X C^(-1/2) as the polar factor W^(-1/2) U V^T
     of the centred span's SVD, so C is never formed; raises NumericalError
-    if C is numerically singular.
+    if C is numerically singular, a constant column included.
     """
-    u, s, vt = span_svd(weighted_center(values, weights), weights)
+    u, s, vt = span_svd(values, weights, center=True)
     if s.size < values.shape[1] or s[-1] ** 2 < _WHITEN_REL_FLOOR * s[0] ** 2:
         raise NumericalError("covariance is numerically singular; cannot whiten")
     return (u @ vt) / np.sqrt(weights)[:, None]
@@ -124,13 +125,15 @@ def span_svd(values: np.ndarray, weights: np.ndarray, center: bool = False):
     numerical rank; an all-zero span keeps no singular triplet.
 
     With ``center=True`` the columns are centred first and the cut is taken
-    relative to the uncentred values' top singular value: centring leaves
-    roundoff of that size, so a constant column keeps no span.
+    relative to the Frobenius norm of the uncentred scaled values: centring
+    leaves roundoff of that size, so a constant column keeps no span. That
+    norm bounds the top singular value within sqrt(d), so it moves the cut
+    only inside the roundoff band and needs no second SVD.
     """
     root = np.sqrt(weights)[:, None]
     scaled = root * values
     if center:
-        scale = np.linalg.norm(scaled, 2)
+        scale = np.linalg.norm(scaled)
         scaled = root * weighted_center(values, weights)
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     keep = s > _RANK_REL_TOL * (scale if center else s[:1])

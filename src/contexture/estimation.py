@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fix_signs, top_eigenpairs, weighted_cov, weighted_norm
+from ._linalg import fix_signs, top_eigenpairs, weighted_norm
 from .context import DiscreteDistribution, FiniteContext
 from .errors import NumericalError
 from .objectives import SampleEncoder
@@ -59,13 +59,17 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     ``exact`` sums over the finite joint. ``pair_sampled`` draws chains
     input -> context point -> input and averages the symmetrized outer
     products of centered encoder values, which converges to the exact
-    pushed covariance.
+    pushed covariance. Both are centred once, under the context's input
+    marginal, which the encoder's marginal must equal.
     """
     if enc.support != "input":
         raise ValueError("estimation expects an input-support encoder")
+    p = ctx.input_marginal.weights
+    if not np.array_equal(enc.marginal.weights, p):
+        raise ValueError("encoder marginal must equal the context's input marginal")
     centered = enc.centered()
     # roundoff asymmetry grows with scale, past CovariancePair's 1e-10 check
-    c_phi = weighted_cov(enc.values, ctx.input_marginal.weights)
+    c_phi = centered.T @ (p[:, None] * centered)
     c_phi = 0.5 * (c_phi + c_phi.T)
     adj = adjoint_matrix(ctx)
     if mode == "exact":
@@ -78,7 +82,7 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     if n_pairs < 1:
         raise ValueError("pair_sampled mode needs n_pairs >= 1")
     rng = np.random.default_rng(seed)
-    xs = rng.choice(ctx.n_inputs, size=n_pairs, p=ctx.input_marginal.weights)
+    xs = rng.choice(ctx.n_inputs, size=n_pairs, p=p)
     mids = np.empty(n_pairs, dtype=int)
     for x, where in _groups(xs):
         mids[where] = rng.choice(ctx.n_context, size=where.size,

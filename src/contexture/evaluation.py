@@ -155,7 +155,7 @@ def approx_err(enc: SampleEncoder, f: TaskFunction) -> float:
         raise ValueError("encoder and task must share a support")
     form = _LeastSquaresForm(f.marginal.weights, f.values[:, None],
                              intercept=True, offset=0.0)
-    return _ls_value_and_grad(form, enc.values, want_grad=False)[0]
+    return _ls_value_and_grad(form, enc.values)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -331,13 +331,10 @@ def _ls_solve(form: _LeastSquaresForm, values: np.ndarray):
     return coef, design @ coef
 
 
-def _ls_value_and_grad(form: _LeastSquaresForm, values: np.ndarray,
-                       want_grad: bool = True):
+def _ls_value_and_grad(form: _LeastSquaresForm, values: np.ndarray):
     coef, fitted = _ls_solve(form, values)
     resid = fitted - form.targets
     value = float(form.row_weights @ np.sum(resid ** 2, axis=1)) + form.offset
-    if not want_grad:
-        return value, None
     w_mat = coef[:values.shape[1], :]  # drop intercept row if present
     grad = 2.0 * form.row_weights[:, None] * (resid @ w_mat.T)
     return value, grad
@@ -348,35 +345,31 @@ def _center_chain(grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return grad - weights[:, None] * grad.sum(axis=0)[None, :]
 
 
-def _lc_value_and_grad(q: np.ndarray, h: np.ndarray, values: np.ndarray,
-                       want_grad: bool = True):
+def _lc_value_and_grad(q: np.ndarray, h: np.ndarray, values: np.ndarray):
     centered = weighted_center(values, q)
     hg = h @ centered
     gram = centered.T @ (q[:, None] * centered)
     value = float(-np.sum(centered * hg) + 0.5 * np.sum(gram ** 2))
-    if not want_grad:
-        return value, None
     grad = -2.0 * hg + 2.0 * q[:, None] * (centered @ gram)
     return value, _center_chain(grad, q)
 
 
 def _quadratic_value_and_grad(weights: np.ndarray, m: np.ndarray, scale: float,
-                              values: np.ndarray, want_grad: bool = True):
+                              values: np.ndarray):
     """scale * (E_w |v|^2 - <v, M v>) over centred values v."""
     centered = weighted_center(values, weights)
     mg = m @ centered
     value = float(scale * (np.sum(weights[:, None] * centered ** 2)
                            - np.sum(centered * mg)))
-    if not want_grad:
-        return value, None
     return value, _center_chain(
         2.0 * scale * (weights[:, None] * centered - mg), weights)
 
 
 def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
                      aux: np.ndarray | None):
-    """``value_grad(values, want_grad=True)`` of the exact population
-    objective; the matrices it reads are built once, here."""
+    """``value_grad(values) -> (value, gradient)`` of the exact population
+    objective, both from one evaluation; the matrices it reads are built
+    once, here."""
     form = _FORMS[objective]
     if form.kernel is not None or objective is ObjectiveKind.SUPERVISED_BALANCED:
         ls = _least_squares_form(objective, ctx, _resolve_aux(objective, ctx, aux))
@@ -416,7 +409,7 @@ def eval_objective(objective, ctx: FiniteContext, enc: SampleEncoder,
         raise ValueError(f"{objective.value} expects a {form.support}-support encoder")
     if form.constrained:
         _check_unit_covariance(enc.values, form.marginals(ctx)[0].weights, objective)
-    return _population_loss(objective, ctx, aux)(enc.values, False)[0]
+    return _population_loss(objective, ctx, aux)(enc.values)[0]
 
 
 def solve_variational(objective, ctx: FiniteContext, d: int,
@@ -449,7 +442,7 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
         return whiten_columns(v, weights) if form.constrained else v
 
     current = project(rng.standard_normal((size, d)))
-    value = value_grad(current, False)[0]
+    value, grad = value_grad(current)
     lr = opts.learning_rate
     trace = [value]
     rejected = 0
@@ -458,13 +451,12 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     # sizes are comparable across support sizes
     precond = weights[:, None]
     for _ in range(opts.steps):
-        _, grad = value_grad(current)
         candidate = project(current - lr * grad / precond)
-        cand_value = value_grad(candidate, False)[0]
+        cand_value, cand_grad = value_grad(candidate)
         trace.append(cand_value)
         drop = (value - cand_value) / (1.0 + abs(value))
         if drop > 1e-11:
-            current, value = candidate, cand_value
+            current, value, grad = candidate, cand_value, cand_grad
             rejected = 0
             quiet_steps = 0
             # grow the step while descending; halving below caps it at the

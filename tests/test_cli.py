@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from contexture.cli import main
-from contexture.context import PointSet, build_knn_context
+from contexture.context import (DiscreteDistribution, PointSet,
+                                build_knn_context)
 from contexture.datasets import make_waves
 from contexture.harness import zscore_by_reference
+from contexture.objectives import SampleEncoder, save_encoder
 from contexture.spectral import contexture_svd, load_spectrum
 from contexture.verify import verify_theorems
 
@@ -158,6 +160,24 @@ def test_evaluate_infinite_ridge_is_usage_error(tmp_path, waves_csv, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "finite" in captured.err
+
+
+@pytest.mark.parametrize("rows, fraction, message", [
+    (59, "0.8", "encoder rows must match the dataset rows"),
+    (60, "1.0", "train fraction leaves an empty split"),
+    (60, "0.001", "train fraction leaves an empty split"),
+])
+def test_evaluate_bad_split_is_usage_error(tmp_path, waves_csv, capsys, rows,
+                                           fraction, message):
+    enc_path = tmp_path / "enc.csv"
+    save_encoder(SampleEncoder(np.arange(rows, dtype=float), "input",
+                               DiscreteDistribution.uniform(rows)), enc_path)
+    rc = main(["evaluate", "--encoder", str(enc_path), "--input",
+               str(waves_csv), "--target", "y", "--ridge-grid", "0.1",
+               "--train-fraction", fraction])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_experiment_subcommand(tmp_path, waves_csv, capsys):

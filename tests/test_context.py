@@ -410,6 +410,57 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="label"):
             build_from_descriptor("label", pts)
 
+    def test_label_descriptor_builds_the_label_context(self):
+        pts = PointSet(np.random.default_rng(7).normal(size=(5, 2)),
+                       labels=np.array(["b", "a", "b", "c", "a"]))
+        ctx = build_from_descriptor("label", pts)
+        direct = build_label_context(pts.labels)
+        assert ctx.label == "label"
+        assert np.array_equal(ctx.conditional, direct.conditional)
+
+
+POINTS = PointSet(np.arange(8.0).reshape(4, 2))
+UNIFORM_2 = DiscreteDistribution.uniform(2)
+SYMMETRIC = np.ones((3, 3)) - np.eye(3)
+
+
+@pytest.mark.parametrize("call, args, exc, match", [
+    (DiscreteDistribution, (np.ones((2, 2)),), ValueError, "non-empty 1-d"),
+    (DiscreteDistribution, (np.array([]),), ValueError, "non-empty 1-d"),
+    (DiscreteDistribution, (np.array([1.0, np.nan]),), ValueError, "finite"),
+    (PointSet, (np.ones(4),), ValueError, "2-d matrix"),
+    (PointSet, (np.ones((1, 3)),), ValueError, "at least 2 points"),
+    (PointSet, (np.array([[0.0], [np.inf]]),), ValueError, "finite"),
+    (PointSet, (np.ones((3, 1)), np.zeros(2)), ValueError,
+     "labels length must match"),
+    (FiniteContext, (np.ones(2), UNIFORM_2), ValueError, "2-d matrix"),
+    (FiniteContext, (np.array([[1.0, np.nan], [1.0, 1.0]]), UNIFORM_2),
+     ValueError, "conditional must be finite"),
+    (FiniteContext, (np.array([[1.0, -0.5], [1.0, 1.0]]), UNIFORM_2),
+     ValueError, "non-negative"),
+    (FiniteContext, (np.ones((3, 2)), UNIFORM_2), ValueError,
+     "marginal length must match row count"),
+    (FiniteContext, (np.array([[1.0, 1.0], [0.0, 0.0]]), UNIFORM_2),
+     ValueError, "positive mass"),
+    (FiniteContext, (np.eye(2), UNIFORM_2, "", False, np.arange(3)),
+     ValueError, "context_ids length"),
+    (build_masked_context, (POINTS, ("gauss", 1.0), 0.5, 2, 0), ValueError,
+     "unknown base builder 'gauss'"),
+    (build_masked_context, (POINTS, ("knn", 1), 0.5, 0, 0), ValueError,
+     "n_masks must be at least 1"),
+    (build_label_context, (np.array([[0, 1], [1, 0]]),), ValueError,
+     "1-d vector with at least 2 entries"),
+    (build_label_context, (np.array([0]),), ValueError,
+     "1-d vector with at least 2 entries"),
+    (build_graph_context, (np.ones((2, 3)),), ValueError, "square matrix"),
+    (build_graph_context, (np.where(SYMMETRIC > 0, np.inf, 0.0),), ValueError,
+     "adjacency must be finite"),
+    (build_graph_context, (-SYMMETRIC,), ValueError, "non-negative"),
+    (build_from_descriptor, ("knn:2",), ValueError, "needs a point set"),
+])
+def test_typed_input_errors(call, args, exc, match):
+    with pytest.raises(exc, match=match):
+        call(*args)
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 10), st.integers(2, 6), st.integers(0, 10 ** 6))

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from contexture import (CovariancePair, DiscreteDistribution, FiniteContext,
-                        PointSet, SampleEncoder, build_rbf_context,
-                        contexture_svd, estimate_covariances,
-                        estimate_spectrum_posthoc, subsample_support)
+                        NumericalError, PointSet, SampleEncoder,
+                        build_rbf_context, contexture_svd,
+                        estimate_covariances, estimate_spectrum_posthoc,
+                        subsample_support)
 from contexture._linalg import principal_angle_cosines
 from contexture.spectral import adjoint_matrix
+from contexture.verify import random_graph_context
 
 
 def dense_context(seed, n, m):
@@ -60,6 +62,21 @@ class TestEstimateCovariances:
         assert np.array_equal(a.b_phi, b.b_phi)
         with pytest.raises(ValueError):
             estimate_covariances(enc, two_state, "pair_sampled", 0)
+
+    def test_encoder_marginal_must_be_the_input_marginal(self):
+        # a graph context's input marginal is its degree distribution; an
+        # encoder loaded without one is weighted uniformly, and centring
+        # the pair under two weightings would skew the eigenvalues
+        ctx = random_graph_context(np.random.default_rng(0), 30)
+        values = contexture_svd(ctx).left_functions[:, 1:4] + 0.5
+        uniform = SampleEncoder(values, "input", DiscreteDistribution.uniform(30))
+        for mode, n_pairs in (("exact", 0), ("pair_sampled", 100)):
+            with pytest.raises(ValueError, match="input marginal"):
+                estimate_covariances(uniform, ctx, mode, n_pairs)
+        enc = SampleEncoder(values, "input", ctx.input_marginal)
+        evals, _ = estimate_spectrum_posthoc(enc, estimate_covariances(enc, ctx), 3)
+        assert np.allclose(evals, contexture_svd(ctx).nontrivial_values[:3] ** 2,
+                           atol=1e-10)
 
     def test_psd_order_validated_in_exact_mode(self):
         with pytest.raises(ValueError, match="PSD order"):
@@ -260,3 +277,28 @@ class TestSubsampleSupport:
                 per_seed.append(np.mean(np.abs(est - truth)))
             errors.append(float(np.mean(per_seed)))
         assert all(b <= a + 0.01 for a, b in zip(errors, errors[1:]))
+
+
+CHANNEL = FiniteContext(np.array([[0.9, 0.1], [0.1, 0.9]]),
+                        DiscreteDistribution.uniform(2), same_support=True)
+CHANNEL_ENC = SampleEncoder(np.array([1.0, -1.0]), "input",
+                            CHANNEL.input_marginal)
+
+
+@pytest.mark.parametrize("call, args, exc, match", [
+    (CovariancePair, (np.array([[1.0, 0.0], [1.0, 1.0]]), np.eye(2), "exact"),
+     ValueError, "c_phi must be symmetric"),
+    (estimate_covariances, (CHANNEL_ENC, CHANNEL, "sampled"),
+     ValueError, "mode must be 'exact' or 'pair_sampled'"),
+    (estimate_covariances, (SampleEncoder(np.array([1.0, -1.0]), "context",
+                                          CHANNEL.context_marginal), CHANNEL),
+     ValueError, "input-support encoder"),
+    (estimate_spectrum_posthoc, (CHANNEL_ENC, CovariancePair(
+        np.zeros((1, 1)), np.zeros((1, 1)), "exact"), 1),
+     NumericalError, "zero covariance"),
+    (subsample_support, (CHANNEL, 0, 0), ValueError, r"m must be in \[1, 2\]"),
+    (subsample_support, (CHANNEL, 3, 0), ValueError, r"m must be in \[1, 2\]"),
+])
+def test_typed_input_errors(call, args, exc, match):
+    with pytest.raises(exc, match=match):
+        call(*args)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contexture import (DiscreteDistribution, FiniteContext, PointSet,
-                        SampleEncoder, TaskFunction, approx_err,
+from contexture import (DiscreteDistribution, FiniteContext, NumericalError,
+                        PointSet, SampleEncoder, TaskFunction, approx_err,
                         cca_alignment, compatibility, compatible_lift,
                         contexture_svd, correlation_stats, decay_rate,
                         dual_kernel, fisher_discriminant, fit_linear_probe,
@@ -810,3 +810,54 @@ def test_pearson_sign_follows_slope(seed):
     pearson, dist = correlation_stats(a, slope * a + 1.0)
     assert pearson == pytest.approx(np.sign(slope), abs=1e-9)
     assert dist == pytest.approx(1.0, abs=1e-9)
+
+
+UNIFORM_3 = DiscreteDistribution.uniform(3)
+IDENTITY_3 = FiniteContext(np.eye(3), UNIFORM_3, same_support=True)
+ENC_3 = SampleEncoder(np.array([[1.0, -1.0, 0.3], [0.2, 0.5, 1.0]]).T,
+                      "input", UNIFORM_3)
+ENC_4 = SampleEncoder(np.arange(8.0).reshape(4, 2) ** 2, "input",
+                      DiscreteDistribution.uniform(4))
+# a rank-2 spectrum of a 6-point context spans 2 of its 6 dimensions
+SPEC_RANK_2 = contexture_svd(dense_context(4, 6, 6), rank=2)
+
+
+@pytest.mark.parametrize("call, args, exc, match", [
+    (TaskFunction, (np.ones((3, 1)), UNIFORM_3), ValueError,
+     "1-d vector matching the marginal"),
+    (TaskFunction, (np.ones(2), UNIFORM_3), ValueError,
+     "1-d vector matching the marginal"),
+    (TaskFunction, (np.array([0.0, np.nan, 1.0]), UNIFORM_3), ValueError,
+     "task values must be finite"),
+    (approx_err, (ENC_4, TaskFunction(np.arange(3.0), UNIFORM_3)), ValueError,
+     "share a support"),
+    (fit_linear_probe, ((np.zeros((0, 1)), np.zeros(0)),
+                        (np.ones((2, 1)), np.ones(2)), [1.0]),
+     ValueError, "splits must be nonempty"),
+    (usefulness_metric, ([0.5, 0.2], 0, 1.0), ValueError,
+     "d0 must be at least 1"),
+    (kernel_association_measures, (np.ones((3, 3)),
+                                   PointSet(np.arange(3.0)[:, None]),
+                                   UNIFORM_3, 4),
+     ValueError, "must not exceed the support size"),
+    (ratio_trace, (SampleEncoder(np.arange(3.0), "context", UNIFORM_3),
+                   IDENTITY_3),
+     ValueError, "expected an input-support encoder"),
+    (compatible_lift, (SPEC_RANK_2, TaskFunction(
+        np.random.default_rng(5).standard_normal(6),
+        DiscreteDistribution.uniform(6))),
+     ValueError, "mass outside the spectrum span"),
+    (fisher_discriminant, (ENC_3, IDENTITY_3), NumericalError,
+     "within-minus-between covariance is singular"),
+    (cca_alignment, (ENC_3, ENC_4, UNIFORM_3), ValueError,
+     "encoders must share a support"),
+    (mutual_knn, (ENC_3, ENC_4, 1), ValueError,
+     "encoders must share a support"),
+    (correlation_stats, ([1.0, 2.0], [2.0, 1.0]), ValueError,
+     "at least 3 entries"),
+    (correlation_stats, ([1.0, 2.0, 3.0], [2.0, 1.0]), ValueError,
+     "at least 3 entries"),
+])
+def test_typed_input_errors(call, args, exc, match):
+    with pytest.raises(exc, match=match):
+        call(*args)

@@ -403,3 +403,31 @@ def test_default_context_grid_truncates():
     ks = [int(d.split(":")[1]) for d in grid if d.startswith("knn:")]
     assert max(ks) <= 11
     assert len([d for d in grid if d.startswith("rbf:")]) == 35
+
+
+IN_TMP = "<file under tmp_path holding the text>"
+TEN_ROWS = "\n".join(["a,b,y"] + ["1,2,3"] * 9 + ["1,2"]) + "\n"
+
+
+@pytest.mark.parametrize("call, text, args, exc, match", [
+    (load_dataset, "", (IN_TMP, "y"), ValueError, "empty file"),
+    (load_dataset, TEN_ROWS, (IN_TMP, "y"), ValueError,
+     "row 11 has 2 cells, expected 3"),
+    (load_config, "[other]\nseed = 1\n", (IN_TMP,), ValueError,
+     r"must contain an \[experiment\] section"),
+    (load_config, "[experiment]\ndataset_path = d.csv\ntarget_column = y\n"
+                  "context_grid = knn:2\nridge_grid = 1.0\n", (IN_TMP,),
+     ValueError, "is missing 'd_grid'"),
+    (write_report, None, ({"checks": []}, IN_TMP, "xml"), ValueError,
+     "format must be json or csv, got 'xml'"),
+    (write_report, None, ({"n": 4}, IN_TMP, "csv"), ValueError,
+     "no tabular section"),
+    (verify_theorems, None, (24, 20, 0), ValueError,
+     "trials must be at least 1"),
+])
+def test_typed_input_errors(call, text, args, exc, match, tmp_path):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(exc, match=match):
+        call(*(path if arg is IN_TMP else arg for arg in args))

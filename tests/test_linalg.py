@@ -390,3 +390,16 @@ def test_whiten_columns_rejects_a_singular_covariance(case, n, d, seed):
         x[:, -1] = rng.uniform(-3.0, 3.0)
     with pytest.raises(NumericalError, match="singular"):
         whiten_columns(x, w)
+
+
+def test_whiten_columns_rejects_a_lone_constant_column():
+    # centring a constant column leaves roundoff; cut against its own top
+    # value instead of the uncentred norm, it would whiten to unit-variance
+    # noise
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n = int(rng.integers(6, 40))
+        w = rng.dirichlet(np.full(n, 5.0))
+        x = np.full((n, 1), rng.uniform(-3.0, 3.0))
+        with pytest.raises(NumericalError, match="singular"):
+            whiten_columns(x, w)

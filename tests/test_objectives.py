@@ -8,6 +8,7 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         cca_alignment, contexture_svd, eval_objective,
                         load_encoder, loss_kernel_matrix, save_encoder,
                         solve_spectral, solve_variational)
+from contexture import objectives
 from contexture._linalg import (fix_signs, principal_angle_cosines,
                                 weighted_cov, weighted_norm)
 from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
@@ -290,6 +291,41 @@ class TestSolveVariational:
                               VariationalOptions(seed=9, steps=200))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.fixture
+    def loss_calls(self, monkeypatch):
+        """Every encoder the population loss is evaluated at, in order."""
+        calls = []
+        population_loss = objectives._population_loss
+
+        def counted(*args):
+            value_grad = population_loss(*args)
+
+            def wrapped(values, *rest):
+                calls.append(values)
+                return value_grad(values, *rest)
+            return wrapped
+
+        monkeypatch.setattr(objectives, "_population_loss", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["supervised_unbiased",
+                                      "multiview_contrastive",
+                                      "multiview_noncontrastive"])
+    def test_one_loss_evaluation_per_trace_entry(self, kind, loss_calls):
+        # the initial value, then one candidate per step: each evaluation
+        # also returns the gradient the next step takes from it
+        rng = np.random.default_rng(2)
+        ctx = FiniteContext(rng.dirichlet(np.ones(5), size=6),
+                            DiscreteDistribution.uniform(6))
+        solve_variational(kind, ctx, 2, VariationalOptions(steps=30, seed=1))
+        assert len(loss_calls) == 1 + 30
+
+    def test_divergence_trace_has_one_entry_per_evaluation(self, two_state,
+                                                           loss_calls):
+        opts = VariationalOptions(learning_rate=1e40, steps=200, seed=0)
+        with pytest.raises(DivergenceError) as excinfo:
+            solve_variational("multiview_contrastive", two_state, 1, opts)
+        assert len(loss_calls) == len(excinfo.value.trace)
 
 class TestEncoderSerialization:
     def test_round_trip(self, tmp_path, two_state):
@@ -379,3 +415,33 @@ class TestObjectiveTable:
                             _FORMS[kind].support, own)
         with pytest.raises(ConstraintViolationError):
             eval_objective(kind, ctx, enc)
+
+
+CHANNEL = FiniteContext(np.array([[0.9, 0.1], [0.1, 0.9]]),
+                        DiscreteDistribution.uniform(2), same_support=True)
+
+
+@pytest.mark.parametrize("call, args, exc, match", [
+    (SampleEncoder, (np.ones((2, 0)), "input", DiscreteDistribution.uniform(2)),
+     ValueError, "n x d matrix with d >= 1"),
+    (loss_kernel_matrix, ("linear", np.ones((3, 1)),
+                          DiscreteDistribution.uniform(2)),
+     ValueError, "match the marginal length"),
+    (solve_spectral, ("regression_unbiased", CHANNEL, 1, np.ones((3, 1))),
+     ValueError, "aux must have 2 rows"),
+    (solve_spectral, ("multiview_contrastive", CHANNEL, 0),
+     ValueError, "d must be at least 1"),
+    (solve_spectral, ("supervised_unbiased", CHANNEL, 3),
+     ValueError, "exceeds the input support size"),
+    (solve_variational, ("multiview_contrastive", CHANNEL, 1,
+                         VariationalOptions(steps=0)),
+     ValueError, "steps must be at least 1"),
+    (solve_variational, ("multiview_contrastive", CHANNEL, 3),
+     ValueError, "exceeds the support size 2"),
+    (average_encoder, (CHANNEL, SampleEncoder(
+        np.ones((3, 1)), "context", DiscreteDistribution.uniform(3))),
+     ValueError, "rows must match the context support"),
+])
+def test_typed_input_errors(call, args, exc, match):
+    with pytest.raises(exc, match=match):
+        call(*args)
