@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-# rows per block in ``sq_dists``: bounds the difference tensor it builds
+# rows per block in ``sq_dists``: bounds its two scratch blocks
 _DIST_BLOCK_ROWS = 256
 # ``whiten_columns`` raises when (s_min / s_max)^2 of the centred span is
 # below this, or when the span's rank cut has dropped what centring left
@@ -27,13 +27,35 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Differences are squared and summed directly, in blocks of rows, rather
     than through the Gram identity |a|^2 + |b|^2 - 2ab, which would turn
     the exact zeros of duplicate rows and exact distance ties into roundoff.
-    Both inputs are made C-contiguous, so every layout sums in one order.
+    The sum over features has one fixed order: features 0, 2, 4, ... added
+    left to right, features 1, 3, 5, ... likewise, then the two partial
+    sums. The order is written here rather than left to a reduction kernel,
+    so every memory layout of the inputs gives the same bits, and
+    ``sq_dists(a, b)`` is ``sq_dists(b, a).T`` exactly. For p <= 7 it is
+    the order numpy's ``einsum("ijk,ijk->ij")`` uses; from p = 8 einsum
+    unrolls differently, and the two differ by a few ulps.
     """
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    out = np.empty((a.shape[0], b.shape[0]))
+    p = a.shape[1]
+    if b.shape[1] != p:
+        raise ValueError(f"feature counts differ: {p} and {b.shape[1]}")
+    # one contiguous vector per feature, so each term is a plain broadcast
+    a_cols = np.ascontiguousarray(a.T, dtype=float)
+    b_cols = np.ascontiguousarray(b.T, dtype=float)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    odd = np.empty((min(a.shape[0], _DIST_BLOCK_ROWS), b.shape[0]))
+    term = np.empty_like(odd)
     for start in range(0, a.shape[0], _DIST_BLOCK_ROWS):
-        diff = a[start:start + _DIST_BLOCK_ROWS, None, :] - b[None, :, :]
-        out[start:start + _DIST_BLOCK_ROWS] = np.einsum("ijk,ijk->ij", diff, diff)
+        rows = slice(start, start + _DIST_BLOCK_ROWS)
+        n_rows = out[rows].shape[0]
+        sums = (out[rows], odd[:n_rows])  # even- and odd-indexed features
+        for k in range(p):
+            dest = sums[k] if k < 2 else term[:n_rows]
+            np.subtract(a_cols[k, rows, None], b_cols[k], out=dest)
+            dest *= dest
+            if k >= 2:
+                np.add(sums[k % 2], dest, out=sums[k % 2])
+        if p > 1:
+            np.add(sums[0], sums[1], out=sums[0])
     return out
 
 

@@ -156,11 +156,14 @@ class FiniteContext:
 # ---------------------------------------------------------------------------
 
 def _rbf_conditional(points: np.ndarray, gamma: float) -> np.ndarray:
-    # log-space with per-row max subtraction; the self term makes the max 0
-    logits = -gamma * sq_dists(points, points)
-    logits -= logits.max(axis=1, keepdims=True)
-    q_mat = np.exp(logits)
-    return q_mat / q_mat.sum(axis=1, keepdims=True)
+    # log-space with per-row max subtraction; the self term makes the max 0.
+    # In place, so one n x n array is held
+    q_mat = sq_dists(points, points)
+    q_mat *= -gamma
+    q_mat -= q_mat.max(axis=1, keepdims=True)
+    np.exp(q_mat, out=q_mat)
+    q_mat /= q_mat.sum(axis=1, keepdims=True)
+    return q_mat
 
 
 def _base_param(n: int, kind: str, param) -> int | float:
@@ -361,8 +364,7 @@ def build_from_descriptor(descriptor: str, points: PointSet | None = None,
         # looked up at call time, so a wrapped plain builder is the one called
         plain = build_knn_context if base == "knn" else build_rbf_context
         return plain(points, param)
-    if kind == "label":
-        if points.labels is None:
-            raise ValueError("label context needs a labeled point set")
-        return build_label_context(points.labels)
-    raise ValueError(f"unrecognized context descriptor {descriptor!r}")
+    # parse_descriptor returns no other kind
+    if points.labels is None:
+        raise ValueError("label context needs a labeled point set")
+    return build_label_context(points.labels)

@@ -43,12 +43,36 @@ class CovariancePair:
                     "b_phi must precede c_phi in the PSD order (within 1e-8)")
 
 
-def _groups(keys: np.ndarray):
-    """Each distinct key in ascending order with its positions in ``keys``,
-    ascending: one stable sort, split where the sorted key changes."""
-    order = np.argsort(keys, kind="stable")
-    distinct, starts = np.unique(keys[order], return_index=True)
-    return zip(distinct, np.split(order, starts[1:]))
+def _hop(rows: np.ndarray, keys: np.ndarray,
+         rng: np.random.Generator) -> np.ndarray:
+    """One draw from ``rows[key]`` for each entry of ``keys``.
+
+    ``Generator.choice``'s weighted draw with replacement, done for every
+    key at once: the entries are grouped by key (ascending, stable), one
+    ``random`` call covers all of them, and each key's uniforms are
+    searched in its row's normalised CDF. A ``random(n)`` call yields the
+    same numbers as the per-key calls it replaces made in turn, so the
+    draws and the generator's state afterwards equal a per-key ``choice``
+    loop. ``choice`` also checked that a row is a distribution; every row
+    passed here already is one (``FiniteContext`` rows are non-negative
+    and renormalised, and so are ``adjoint_matrix`` rows).
+    """
+    # keys fit 16 bits below 65,536 points, and a stable sort of them is a
+    # radix sort; the order of a stable sort does not depend on the dtype
+    order = np.argsort(keys.astype(np.min_scalar_type(keys.max())),
+                       kind="stable")
+    counts = np.bincount(keys)
+    u = rng.random(keys.size)
+    drawn = np.empty(keys.size, dtype=np.int64)
+    hi = 0
+    for key in np.flatnonzero(counts):
+        lo, hi = hi, hi + counts[key]
+        cdf = rows[key].cumsum()
+        cdf /= cdf[-1]
+        drawn[lo:hi] = cdf.searchsorted(u[lo:hi], side="right")
+    out = np.empty_like(drawn)
+    out[order] = drawn
+    return out
 
 
 def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
@@ -59,8 +83,12 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     ``exact`` sums over the finite joint. ``pair_sampled`` draws chains
     input -> context point -> input and averages the symmetrized outer
     products of centered encoder values, which converges to the exact
-    pushed covariance. Both are centred once, under the context's input
-    marginal, which the encoder's marginal must equal.
+    pushed covariance. The starts are one weighted ``choice``; each hop
+    after them is one ``_hop`` call: one uniform per pair, drawn at once,
+    looked up in the CDF of the row its current point names (the same
+    draws as one ``choice`` per distinct point, in ascending order). Both
+    are centred once, under the context's input marginal, which the
+    encoder's marginal must equal.
     """
     if enc.support != "input":
         raise ValueError("estimation expects an input-support encoder")
@@ -83,13 +111,8 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
         raise ValueError("pair_sampled mode needs n_pairs >= 1")
     rng = np.random.default_rng(seed)
     xs = rng.choice(ctx.n_inputs, size=n_pairs, p=p)
-    mids = np.empty(n_pairs, dtype=int)
-    for x, where in _groups(xs):
-        mids[where] = rng.choice(ctx.n_context, size=where.size,
-                                 p=ctx.conditional[x])
-    ends = np.empty(n_pairs, dtype=int)
-    for a, where in _groups(mids):
-        ends[where] = rng.choice(ctx.n_inputs, size=where.size, p=adj[a])
+    mids = _hop(ctx.conditional, xs, rng)
+    ends = _hop(adj, mids, rng)
     # sum_p c[x_p]^T c[e_p] grouped by start point: per column, the summed
     # end values of each start, without two n_pairs x d gathers
     sums = np.stack([np.bincount(xs, weights=col[ends], minlength=ctx.n_inputs)

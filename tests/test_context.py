@@ -9,7 +9,7 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         build_knn_context, build_label_context,
                         build_masked_context, build_rbf_context,
                         parse_descriptor)
-from contexture._linalg import knn_index
+from contexture._linalg import knn_index, sq_dists
 from contexture.context import _rbf_conditional
 
 
@@ -133,6 +133,23 @@ class TestRbf:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             build_rbf_context(line_points(0.0, 1.0), gamma=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 300), p=st.integers(1, 5),
+           log_gamma=st.floats(-4.0, 1.0), grid=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_conditional_bitwise_equal_to_out_of_place_softmax(
+            self, n, p, log_gamma, grid, seed):
+        # the row softmax of -gamma * distance, with a new array per step
+        rng = np.random.default_rng(seed)
+        pts = (rng.integers(0, 3, size=(n, p)).astype(float) if grid
+               else rng.standard_normal((n, p)))
+        gamma = 10.0 ** log_gamma
+        logits = -gamma * sq_dists(pts, pts)
+        logits -= logits.max(axis=1, keepdims=True)
+        q_mat = np.exp(logits)
+        expected = q_mat / q_mat.sum(axis=1, keepdims=True)
+        assert np.array_equal(_rbf_conditional(pts, gamma), expected)
 
 
 class TestMasked:
@@ -457,6 +474,8 @@ SYMMETRIC = np.ones((3, 3)) - np.eye(3)
      "adjacency must be finite"),
     (build_graph_context, (-SYMMETRIC,), ValueError, "non-negative"),
     (build_from_descriptor, ("knn:2",), ValueError, "needs a point set"),
+    (build_from_descriptor, ("label", POINTS), ValueError,
+     "needs a labeled point set"),
 ])
 def test_typed_input_errors(call, args, exc, match):
     with pytest.raises(exc, match=match):

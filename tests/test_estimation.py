@@ -8,6 +8,7 @@ from contexture import (CovariancePair, DiscreteDistribution, FiniteContext,
                         estimate_covariances, estimate_spectrum_posthoc,
                         subsample_support)
 from contexture._linalg import principal_angle_cosines
+from contexture.estimation import _hop
 from contexture.spectral import adjoint_matrix
 from contexture.verify import random_graph_context
 
@@ -124,6 +125,39 @@ def random_pair_setup(n, m, d, sparse, seed):
     enc = SampleEncoder(rng.standard_normal((n, d)), "input",
                         ctx.input_marginal)
     return ctx, enc
+
+
+class TestHop:
+    @staticmethod
+    def per_key_choice(rows, keys, rng):
+        """A weighted ``rng.choice`` per distinct key, ascending."""
+        out = np.empty(keys.size, dtype=int)
+        for key in np.unique(keys):
+            where = np.flatnonzero(keys == key)
+            out[where] = rng.choice(rows.shape[1], size=where.size, p=rows[key])
+        return out
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_rows=st.integers(1, 12), m=st.integers(1, 12),
+           n_keys=st.integers(1, 300), sparse=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @example(n_rows=1, m=1, n_keys=1, sparse=False, seed=0)  # one key, one pair
+    @example(n_rows=1, m=5, n_keys=40, sparse=True, seed=1)  # one key
+    @example(n_rows=6, m=4, n_keys=1, sparse=True, seed=2)   # one pair
+    def test_draws_and_state_equal_per_key_choice(self, n_rows, m, n_keys,
+                                                  sparse, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(m), size=n_rows)
+        if sparse:  # rows with zero entries
+            rows[rng.random((n_rows, m)) < 0.6] = 0.0
+            rows[np.arange(n_rows), rng.integers(0, m, n_rows)] += 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        # the last row's key stays absent whenever there are two or more
+        keys = rng.integers(0, max(n_rows - 1, 1), size=n_keys)
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _hop(rows, keys, got_rng)
+        assert np.array_equal(got, self.per_key_choice(rows, keys, ref_rng))
+        assert got_rng.random() == ref_rng.random()
 
 
 class TestPairSampledGrouping:

@@ -63,6 +63,64 @@ def test_sq_dists_is_independent_of_memory_layout(n_a, n_b, p, seed, data):
             assert np.array_equal(sq_dists(a, b), ref)
 
 
+def even_odd_sq_dists(a, b):
+    """Unblocked: the even-indexed features' squared differences summed
+    left to right, the odd-indexed ones likewise, then the two sums."""
+    terms = [(a[:, None, k] - b[None, :, k]) ** 2 for k in range(a.shape[1])]
+    even = terms[0]
+    for term in terms[2::2]:
+        even = even + term
+    if len(terms) == 1:
+        return even
+    odd = terms[1]
+    for term in terms[3::2]:
+        odd = odd + term
+    return even + odd
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_a=st.sampled_from([1, 7, _DIST_BLOCK_ROWS, _DIST_BLOCK_ROWS + 3]),
+       n_b=st.integers(1, 30), p=st.integers(1, 12), grid=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_sq_dists_sums_even_then_odd_features(n_a, n_b, p, grid, seed, data):
+    rng = np.random.default_rng(seed)
+    if grid:  # ties and duplicate rows
+        wide_a, wide_b = grid_points(rng, n_a, 2 * p), grid_points(rng, n_b, 2 * p)
+    else:
+        scale = 10.0 ** rng.uniform(-3, 3, size=2 * p)
+        wide_a = rng.standard_normal((n_a, 2 * p)) * scale
+        wide_b = rng.standard_normal((n_b, 2 * p)) * scale
+        wide_b[: n_b // 2] = wide_a[rng.integers(0, n_a, size=n_b // 2)]
+    cols = data.draw(st.permutations(range(2 * p)))[:p]
+    a, b = wide_a[:, cols], wide_b[:, cols]
+    ref = even_odd_sq_dists(a, b)
+    wide_a[:, ::2], wide_b[:, ::2] = a, b
+    for a_view in (a, wide_a[:, ::2], np.asfortranarray(a)):
+        for b_view in (b, wide_b[:, ::2], np.asfortranarray(b)):
+            assert np.array_equal(sq_dists(a_view, b_view), ref)
+    assert np.array_equal(sq_dists(b, a), ref.T)
+    dup_rows, dup_cols = np.nonzero((a[:, None, :] == b[None, :, :]).all(axis=2))
+    assert np.all(ref[dup_rows, dup_cols] == 0.0)
+    assert np.all(ref[(a[:, None, :] != b[None, :, :]).any(axis=2)] > 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_a=st.sampled_from([1, _DIST_BLOCK_ROWS + 1]), n_b=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_sq_dists_bitwise_equal_to_einsum_at_seven_features(n_a, n_b, seed):
+    # the largest feature count at which einsum sums in the same order
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, size=7)
+    a = rng.standard_normal((n_a, 7)) * scale
+    b = rng.standard_normal((n_b, 7)) * scale
+    assert np.array_equal(sq_dists(a, b), unblocked_sq_dists(a, b))
+
+
+def test_sq_dists_rejects_differing_feature_counts():
+    with pytest.raises(ValueError, match="feature counts"):
+        sq_dists(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 40), p=st.integers(1, 3),
        seed=st.integers(0, 2 ** 31 - 1), data=st.data())
