@@ -11,8 +11,9 @@ import numpy as np
 
 from .errors import NumericalError
 
-# rows per block in ``sq_dists``: bounds its two scratch blocks
-_DIST_BLOCK_ROWS = 256
+# rows per block in ``sq_dists``, small enough that a block's three arrays
+# stay in cache; each row is summed in one block, so the bits do not change
+_DIST_BLOCK_ROWS = 32
 # ``whiten_columns`` raises when (s_min / s_max)^2 of the centred span is
 # below this, or when the span's rank cut has dropped what centring left
 # as roundoff
@@ -105,9 +106,9 @@ def fix_signs(columns: np.ndarray, *paired: np.ndarray) -> None:
     tie goes to the entry with the lowest row index.
     """
     peaks = np.argmax(np.abs(columns), axis=0)
-    flip = columns[peaks, np.arange(columns.shape[1])] < 0
+    signs = np.where(columns[peaks, np.arange(columns.shape[1])] < 0, -1.0, 1.0)
     for arr in (columns, *paired):
-        arr[:, flip] = -arr[:, flip]
+        arr *= signs
 
 
 def weighted_norm(f: np.ndarray, weights: np.ndarray) -> float:

@@ -119,6 +119,31 @@ def positive_pair_kernel(ctx: FiniteContext) -> np.ndarray:
     return (adj / p[None, :]) @ adj.T
 
 
+def _residuals(mat: np.ndarray, left: np.ndarray, s: np.ndarray,
+               right: np.ndarray) -> np.ndarray:
+    """Per-column residual |mat v - s u| of the triplets ``(left, s, right)``."""
+    return np.linalg.norm(mat @ right - left * s, axis=0)
+
+
+def singular_residuals(spec: ContextureSpectrum,
+                       ctx: FiniteContext) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column duality residuals |T nu - s mu|_p and |A mu - s nu|_q.
+
+    T is ``ctx.conditional`` and A its adjoint. Nothing is divided by s and
+    clamped columns are included: this is the whitened SVD's backward error,
+    which by Wedin's bound limits each value's error and each span's angle
+    times its gap.
+    """
+    sp = np.sqrt(spec.input_marginal.weights)
+    sq = np.sqrt(spec.context_marginal.weights)
+    whitened = sp[:, None] * ctx.conditional / sq[None, :]
+    left = sp[:, None] * spec.left_functions
+    right = sq[:, None] * spec.right_functions
+    s = spec.singular_values
+    return (_residuals(whitened, left, s, right),
+            _residuals(whitened.T, right, s, left))
+
+
 def _certified_ritz_triplets(w: np.ndarray, keep: int, null_left: np.ndarray,
                              null_right: np.ndarray):
     """Top ``keep`` singular triplets ``(u, s, v)`` of ``w`` from the
@@ -145,7 +170,7 @@ def _certified_ritz_triplets(w: np.ndarray, keep: int, null_left: np.ndarray,
     core -= np.outer(core @ null_right, null_right)
     rot, s, vt = np.linalg.svd(core, full_matrices=False)
     u, v = basis @ rot, vt.T
-    if np.any(np.linalg.norm(w @ v - u * s, axis=0) > RITZ_RESIDUAL_TOL):
+    if np.any(_residuals(w, u, s, v) > RITZ_RESIDUAL_TOL):
         return None
     return (v, s, u) if tall else (u, s, v)
 

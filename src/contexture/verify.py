@@ -25,8 +25,8 @@ from .objectives import (_FORMS, LossKernelKind, ObjectiveKind,
                          SampleEncoder, VariationalOptions, average_encoder,
                          eval_objective, operator_eigenvalues,
                          solve_spectral, solve_variational)
-from .spectral import (ContextureSpectrum, adjoint_matrix, contexture_svd,
-                       dual_kernel, reconstruct_joint)
+from .spectral import (adjoint_matrix, contexture_svd, dual_kernel,
+                       reconstruct_joint, singular_residuals)
 
 # ``nondegenerate_context``: required relative spectral gap, and draws
 MIN_GAP = 0.03
@@ -138,22 +138,6 @@ def _check(name, residuals, tolerance):
     worst = float(np.max(residuals)) if len(residuals) else 0.0
     return {"name": name, "max_residual": worst, "tolerance": float(tolerance),
             "passed": bool(worst <= tolerance)}
-
-
-def _duality_residual(spec: ContextureSpectrum, ctx: FiniteContext) -> float:
-    p = spec.input_marginal.weights
-    q = spec.context_marginal.weights
-    adj = adjoint_matrix(ctx)
-    worst = 0.0
-    for i in range(spec.rank):
-        s = spec.singular_values[i]
-        if s <= 1e-10:
-            continue
-        mu, nu = spec.left_functions[:, i], spec.right_functions[:, i]
-        worst = max(worst,
-                    weighted_norm(mu - ctx.conditional @ nu / s, p),
-                    weighted_norm(nu - adj @ mu / s, q))
-    return worst
 
 
 def equivalence_residuals(objective, rng, n, m, d):
@@ -315,7 +299,8 @@ def spectral_checks(rng, n, m, trials) -> list[dict]:
             res_adj.append(abs(float(p @ (f * (ctx.conditional @ g)))
                                - float(q @ ((adj @ f) * g))))
         spec = contexture_svd(ctx)
-        res_dual.append(_duality_residual(spec, ctx))
+        forward, backward = singular_residuals(spec, ctx)
+        res_dual.append(max(forward.max(), backward.max()))
         res_jensen.append(float(np.max(spec.singular_values)) - 1.0)
         kx = dual_kernel(ctx)
         lam = spec.singular_values ** 2

@@ -396,6 +396,43 @@ def test_fix_signs_peak_positive_paired_and_idempotent(n, d, seed, integer):
     assert np.array_equal(again_other, fixed_other)
 
 
+
+def gather_scatter_fix_signs(columns, *paired):
+    """``fix_signs`` as a gather and scatter of the flipped columns."""
+    peaks = np.argmax(np.abs(columns), axis=0)
+    flip = columns[peaks, np.arange(columns.shape[1])] < 0
+    for arr in (columns, *paired):
+        arr[:, flip] = -arr[:, flip]
+
+
+@pytest.mark.parametrize("case", ["mixed", "all_flipped", "none_flipped"])
+@pytest.mark.parametrize("seed", range(3))
+def test_fix_signs_bitwise_equal_to_gather_scatter(case, seed):
+    rng = np.random.default_rng(seed)
+    # small integers: magnitude ties within a column are common
+    cols = rng.integers(-2, 3, size=(7, 40)).astype(float)
+    cols[:, 0] = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0]  # all zero, no flip
+    cols[:, 1] = [2.0, -2.0, 0.0, 0.0, 0.0, 0.0, -0.0]  # tie, first kept
+    cols[:, 2] = [-2.0, 2.0, 0.0, -0.0, 0.0, 0.0, 1.0]  # tie, first flipped
+    if case == "all_flipped":
+        cols[:, 0] = -1.0
+        cols[:, 1:] = -np.abs(cols[:, 1:]) - (cols[:, 1:] == 0)
+    elif case == "none_flipped":
+        cols = np.abs(cols)
+    other = rng.standard_normal((9, 40))
+    other[rng.random(other.shape) < 0.3] = -0.0
+    other[rng.random(other.shape) < 0.1] = 0.0
+    got, got_other = cols.copy(), other.copy()
+    fix_signs(got, got_other)
+    want, want_other = cols.copy(), other.copy()
+    gather_scatter_fix_signs(want, want_other)
+    assert got.tobytes() == want.tobytes()
+    assert got_other.tobytes() == want_other.tobytes()
+    flipped = not np.array_equal(got, cols)
+    assert flipped == (case != "none_flipped")
+    if case == "all_flipped":
+        assert np.array_equal(got, -cols)
+
 def conditioned_values(rng, weights, d, cond):
     """n x d values whose weighted centred columns have singular values
     log-spaced from 1 down to 1 / cond, plus a constant offset per column."""

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         adjoint_matrix, build_knn_context, build_label_context,
-                        build_rbf_context, contexture_svd, dual_kernel,
-                        load_spectrum, positive_pair_kernel,
-                        reconstruct_joint, save_spectrum, spectral)
+                        build_masked_context, build_rbf_context,
+                        contexture_svd, dual_kernel, load_spectrum,
+                        positive_pair_kernel, reconstruct_joint,
+                        save_spectrum, spectral, verify, verify_theorems)
 from contexture._linalg import weighted_norm
 from contexture.spectral import (CLAMP_TOL, GRAM_MIN_SIDE, GRAM_RANK_DIVISOR,
-                                ContextureSpectrum)
+                                ContextureSpectrum, singular_residuals)
 
 # backward error of the dense SVD oracle, about n * eps * |W|: what Wedin's
 # bound grants a certified rank-r spectrum over the dense one
@@ -430,3 +431,107 @@ class TestGramRoute:
             spec, routes = svd_with_route(ctx, rank)
             assert routes == []
             assert_matches_dense(ctx, spec, certified=False)
+
+
+# ---------------------------------------------------------------------------
+# the duality residuals of a singular system, and verify's check on them
+# ---------------------------------------------------------------------------
+
+def looped_residuals(spec, ctx):
+    """Per-column |T nu - s mu|_p and |A mu - s nu|_q, one column at a time."""
+    adj = adjoint_matrix(ctx)
+    p, q = ctx.input_marginal.weights, ctx.context_marginal.weights
+    forward, backward = [], []
+    for mu, s, nu in zip(spec.left_functions.T, spec.singular_values,
+                         spec.right_functions.T):
+        forward.append(weighted_norm(ctx.conditional @ nu - s * mu, p))
+        backward.append(weighted_norm(adj @ mu - s * nu, q))
+    return np.array(forward), np.array(backward)
+
+
+def residual_contexts():
+    rng = np.random.default_rng(11)
+    # each point listed twice: half the masked context's values clamp to 0
+    points = PointSet(np.repeat(rng.standard_normal((15, 4)), 2, axis=0))
+    return {"dense": random_context(10, 12, 9),
+            "graph": verify.random_graph_context(rng, 15),
+            "masked": build_masked_context(points, ("rbf", 0.5), 0.25, 4, 3),
+            "label": build_label_context(rng.integers(0, 4, size=20))}
+
+
+def duality_check(n, m, seed, mutate=None):
+    """verify's ``singular_duality`` on one trial, with every spectrum it
+    takes passed through ``mutate`` first."""
+    svd = verify.contexture_svd
+    with pytest.MonkeyPatch.context() as mp:
+        if mutate is not None:
+            rng = np.random.default_rng(seed)
+            mp.setattr(verify, "contexture_svd", lambda ctx: mutate(svd(ctx), rng))
+        checks = verify.spectral_checks(np.random.default_rng(seed), n, m, 1)
+    return next(c for c in checks if c["name"] == "singular_duality")
+
+
+def smallest_kept(spec):
+    """The column of the smallest value at least 1e-3."""
+    return int(np.flatnonzero(spec.singular_values >= 1e-3)[-1])
+
+
+def flip_one_side(spec, rng):
+    left = spec.left_functions.copy()
+    left[:, smallest_kept(spec)] *= -1.0
+    return dataclasses.replace(spec, left_functions=left)
+
+
+def perturb_one_vector(side):
+    def mutate(spec, rng):
+        funcs = getattr(spec, side).copy()
+        col = funcs[:, smallest_kept(spec)]
+        noise = rng.standard_normal(col.size)
+        col += 1e-6 * np.linalg.norm(col) / np.linalg.norm(noise) * noise
+        return dataclasses.replace(spec, **{side: funcs})
+    return mutate
+
+
+def swap_two_columns(spec, rng):
+    right = spec.right_functions.copy()
+    right[:, [1, 2]] = right[:, [2, 1]]
+    return dataclasses.replace(spec, right_functions=right)
+
+
+class TestSingularResiduals:
+    @pytest.mark.parametrize("kind", ["dense", "graph", "masked", "label"])
+    def test_equal_to_a_per_column_loop(self, kind):
+        ctx = residual_contexts()[kind]
+        spec = contexture_svd(ctx)
+        got = singular_residuals(spec, ctx)
+        for residual, looped in zip(got, looped_residuals(spec, ctx)):
+            assert residual.shape == (spec.rank,)
+            assert np.allclose(residual, looped, rtol=0.0, atol=1e-14)
+        # functions that are not singular: residuals of order one, which
+        # the loop must match to roundoff in every column, clamped or not
+        rng = np.random.default_rng(2)
+        wrong = dataclasses.replace(
+            spec, left_functions=rng.standard_normal(spec.left_functions.shape),
+            right_functions=rng.standard_normal(spec.right_functions.shape))
+        for residual, looped in zip(singular_residuals(wrong, ctx),
+                                    looped_residuals(wrong, ctx)):
+            assert np.allclose(residual, looped, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mutate", [
+        flip_one_side, perturb_one_vector("left_functions"),
+        perturb_one_vector("right_functions"), swap_two_columns],
+        ids=["flip", "perturb_left", "perturb_right", "swap"])
+    @pytest.mark.parametrize("n, m", [(24, 20), (80, 80)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_duality_fails_a_mutated_spectrum(self, mutate, n, m, seed):
+        assert duality_check(n, m, seed)["passed"]
+        check = duality_check(n, m, seed, mutate)
+        assert check["max_residual"] > check["tolerance"] == 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_singular_duality_passes_at_80_for_small_values(self, seed):
+        # both draws hold a value near 3e-5, where dividing the residual by
+        # s gave 1.6e-7 and 2.7e-8 against the 1e-8 tolerance
+        checks = verify_theorems(n=80, m=80, trials=3, seed=seed)["checks"]
+        duality = next(c for c in checks if c["name"] == "singular_duality")
+        assert duality["passed"], duality
