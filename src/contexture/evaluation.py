@@ -19,12 +19,6 @@ from .objectives import SampleEncoder, _LeastSquaresForm, _ls_value_and_grad
 from .spectral import ContextureSpectrum, dual_kernel
 
 ACTIVE_TOL = 1e-8
-# sampled points per side of a tile in the Lipschitz scan: a tile's
-# difference block (_GAP_BLOCK^2 x sample size) stays in cache
-_GAP_BLOCK = 8
-# relative and absolute slack of the Lipschitz scan's float32 screen, in
-# units of the scaled kernel (derived in _lipschitz_scan)
-_F32_SLACK = 2.0 ** -21
 
 
 @dataclass(frozen=True)
@@ -284,13 +278,13 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
     sample is a deterministic index stride of at least 2 points).
 
     The kernel must be a finite n x n matrix, with n the number of points
-    and of marginal weights. The maximum is found by a screened scan. Tiles
-    of point pairs whose rigorous upper bound (from each column's range,
-    then from a float32 pass) falls below a lower bound on the maximum are
-    skipped. Every other pair's quotient is computed in float64 with the
-    same subtraction, absolute value, maximum and division as an unscreened
-    scan, and a maximum does not depend on the order it is taken in, so the
-    result is the same float.
+    and of marginal weights. The maximum is found by a screened scan. Point
+    pairs whose rigorous upper bound (from each column's range, then from
+    exact int16 codes of the kernel) falls below a lower bound on the
+    maximum are skipped. Every other pair's quotient is computed in float64
+    with the same subtraction, absolute value, maximum and division as an
+    unscreened scan, and a maximum does not depend on the order it is taken
+    in, so the result is the same float.
     """
     kernel = np.asarray(kernel, dtype=float)
     n = len(marginal)
@@ -315,91 +309,91 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
     return deviation, _lipschitz_scan(cols, points.points[idx])
 
 
-def _strip_gaps(cols: np.ndarray, a0: int, tiles: np.ndarray) -> np.ndarray:
-    """Gaps between the anchor rows ``a0:a0 + _GAP_BLOCK`` and the rows of
-    the given tiles, in a strip over columns ``a0:`` (other columns zero)."""
-    size = len(cols)
-    anchors = cols[a0:a0 + _GAP_BLOCK, None, :]
-    gaps = np.zeros((anchors.shape[0], size - a0), dtype=cols.dtype)
-    tile = np.empty((_GAP_BLOCK, _GAP_BLOCK, size), dtype=cols.dtype)
-    for b0 in tiles * _GAP_BLOCK:
-        others = cols[None, b0:b0 + _GAP_BLOCK, :]
-        diff = tile[:anchors.shape[0], :others.shape[1]]
-        np.subtract(anchors, others, out=diff)
-        np.abs(diff, out=diff)
-        np.max(diff, axis=2, out=gaps[:, b0 - a0:b0 - a0 + _GAP_BLOCK])
-    return gaps
+def _gaps(rows: np.ndarray, a: int, others: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """``max|rows[b] - rows[a]|`` for each index b in ``others``, gathered
+    into ``out`` when given (its leading rows are overwritten)."""
+    diff = np.take(rows, others, axis=0, mode="clip",
+                   out=None if out is None else out[:len(others)])
+    np.subtract(diff, rows[a], out=diff)
+    return np.abs(diff, out=diff).max(axis=1)
 
 
-def _tile_max(strip: np.ndarray) -> np.ndarray:
-    """The largest entry of each _GAP_BLOCK-wide tile of a strip (NaN skipped)."""
-    return np.fmax.reduceat(np.fmax.reduce(strip, axis=0),
-                            np.arange(0, strip.shape[1], _GAP_BLOCK))
-
-
+@np.errstate(over="ignore")
 def _lipschitz_scan(cols: np.ndarray, pts: np.ndarray) -> float:
     """Largest ``max|cols[a] - cols[b]| / |pts[a] - pts[b]|`` over distinct
     point pairs, each quotient computed as ``gap / dist`` in float64.
 
-    The answer is a maximum, so a tile of pairs needs no exact pass once a
-    rigorous upper bound on its quotients is below a lower bound on the
-    maximum. Bounds go through rounding monotonically, so a computed bound
-    is never below the computed quotient it bounds.
+    The answer is a maximum, so a pair needs no float64 pass once a rigorous
+    upper bound on its quotient is below a lower bound on the maximum.
+    Rounding is monotone, so a bound put through it stays on its side, and
+    a bound or gap that overflows is inf, which is still on its side.
+
+    Each anchor row a is screened against its later distinct points. The
+    range bound ``max(hi_a - lo_b, hi_b - lo_a) / dist``, with hi and lo a
+    row's extremes, skips many pairs. The rest get bounds from int16 codes
+    ``z = rint((x - base) / step)``, with base the smallest entry and step
+    the span over 32767. The codes lie in [0, 32767], so their differences,
+    absolute values and maxima are exact. A code is within 1/2 + 2^-36 of
+    the real (x - base) / step: the subtraction and the division each round
+    once, and the quotient is at most 32767. So the real gap is within
+    (g +- (1 + 2^-35)) step of the code gap g, and the float64 gap is the
+    real gap rounded once. With c = 1 + 2^-20, g + c and g - c are exact,
+    ``(g + c) * step / dist`` is at or above the computed quotient and
+    ``(g - c) * step / dist`` at or below it. This needs step to be finite
+    and normal (at least 2^-1022; a subnormal step is rounded too coarsely
+    to keep the codes below 32768). Otherwise every pair the range bound
+    keeps gets upper bound inf.
+
+    The floor is the largest lower bound. Rows whose largest upper bound
+    reaches it and exceeds the seed (each point against its nearest
+    distinct neighbour) have their bounds recomputed, and their pairs that
+    still qualify are computed in float64.
     """
     size = len(cols)
     dists = np.sqrt(sq_dists(pts, pts))
     distinct = dists > 0
     if not distinct.any():
         raise ValueError("all sampled points coincide; Lipschitz estimate undefined")
-    pairs = np.triu(distinct, 1)  # later points only, coincident skipped
     # seed: each point against its nearest distinct neighbour, exactly
     rows = np.flatnonzero(distinct.any(axis=1))
     near = np.argmin(np.where(distinct[rows], dists[rows], np.inf), axis=1)
     diff = cols[rows] - cols[near]
-    best = float(np.max(np.max(np.abs(diff, out=diff), axis=1) / dists[rows, near]))
-    # range screen: |cols[a, c] - cols[b, c]| <= max(hi_a - lo_b, hi_b - lo_a),
-    # and rounding is monotone, so no computed gap exceeds the computed bound
+    seed = float(np.max(np.max(np.abs(diff, out=diff), axis=1) / dists[rows, near]))
     hi, lo = cols.max(axis=1), cols.min(axis=1)
-    # float32 screen on the kernel scaled by 2^-e into [-1, 1]. With y a
-    # scaled real value and z its float32 copy, |z - y| <= 2^-24 |y| + 2^-149:
-    # the cast rounds by 2^-24 relative, or by 2^-150 in float32's subnormal
-    # range, and the scaling is exact except in float64's subnormal range
-    # (2^-1075). So each real difference of z is within 2^-23 + 2^-148 of the
-    # scaled real difference. The float32 subtraction rounds that by at most
-    # 2^-24 relative, and is exact where it lands in float32's subnormal
-    # range; abs and max are exact. The float64 gap G of the exact pass is
-    # the real gap D rounded once (a subnormal difference is exact). So, with
-    # g the float32 gap, g (1 - 2^-24) - 2^-22 <= 2^-e D <= g (1 + 2^-23) + 2^-22.
-    # _F32_SLACK = 2^-21 widens both sides enough to cover the float64
-    # roundings of evaluating them (g (1 +- 2^-21) is exact: 24 + 22 bits).
-    e = int(np.frexp(max(hi.max(), -lo.min()))[1])
-    scaled = np.ldexp(cols, -e).astype(np.float32)
-    n_tiles = -(-size // _GAP_BLOCK)
-    upper = np.zeros((n_tiles, n_tiles))
-    floor = best
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s, a0 in enumerate(range(0, size, _GAP_BLOCK)):
-            strip = slice(a0, a0 + _GAP_BLOCK)
-            ok, d = pairs[strip, a0:], dists[strip, a0:]
-            reach = np.maximum(hi[strip, None] - lo[a0:], hi[a0:] - lo[strip, None])
-            keep = _tile_max(np.where(ok, reach / d, 0.0)) > best
-            if not keep.any():
-                continue
-            g = _strip_gaps(scaled, a0, s + np.flatnonzero(keep)).astype(float)
-            ok = ok & np.repeat(keep, _GAP_BLOCK)[:size - a0]
-            up = np.ldexp(g * (1.0 + _F32_SLACK) + _F32_SLACK, e) / d
-            upper[s, s:] = _tile_max(np.where(ok, up, 0.0))
-            low = np.ldexp(g * (1.0 - _F32_SLACK) - _F32_SLACK, e) / d
-            floor = max(floor, float(np.max(low[ok])))
-    # exact pass over the tiles that can hold a quotient above both bounds
-    exact = (upper >= floor) & (upper > best)
-    for s in np.flatnonzero(exact.any(axis=1)):
-        a0 = s * _GAP_BLOCK
-        strip = slice(a0, a0 + _GAP_BLOCK)
-        # the zero gaps of the tiles left out cannot raise the maximum
-        gaps = _strip_gaps(cols, a0, np.flatnonzero(exact[s]))
-        ok = pairs[strip, a0:]
-        best = max(best, float(np.max(gaps[ok] / dists[strip, a0:][ok])))
+    base = lo.min()
+    step = (hi.max() - base) / 32767
+    screened = np.finfo(float).tiny <= step < np.inf
+    if screened:
+        codes = np.empty(cols.shape, dtype=np.int16)
+        np.rint((cols - base) / step, out=codes, casting="unsafe")
+        buf = np.empty_like(codes)
+    slack = 1.0 + 2.0 ** -20
+
+    def bounds(a):
+        """Later distinct points of row a that pass the range bound, their
+        distances, and upper and lower bounds on their quotients."""
+        b = a + 1 + np.flatnonzero(distinct[a, a + 1:])
+        d = dists[a, b]
+        keep = np.maximum(hi[a] - lo[b], hi[b] - lo[a]) / d > seed
+        b, d = b[keep], d[keep]
+        if not (screened and len(b)):
+            return b, d, np.full(len(b), np.inf), np.zeros(len(b))
+        g = _gaps(codes, a, b, buf)
+        return b, d, (g + slack) * step / d, (g - slack) * step / d
+
+    row_upper = np.zeros(size)
+    floor = seed
+    for a in range(size - 1):
+        b, _, upper, lower = bounds(a)
+        if len(b):
+            row_upper[a] = upper.max()
+            floor = max(floor, float(lower.max()))
+    best = seed
+    for a in np.flatnonzero((row_upper >= floor) & (row_upper > seed)):
+        b, d, upper, _ = bounds(a)
+        keep = (upper >= floor) & (upper > seed)
+        best = max(best, float(np.max(_gaps(cols, a, b[keep]) / d[keep])))
     return best
 
 

@@ -419,8 +419,11 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
 
     The learning rate halves whenever a step fails to descend
     (Polyak-style); 100 consecutive non-descending steps raise
-    DivergenceError with the objective trace. Constrained objectives keep
-    iterates feasible by exact whitening after every step.
+    DivergenceError with the objective trace. The first step that ties
+    (a relative change within 1e-11) ends the run: it changes neither the
+    iterate, its gradient nor the rate, so every later step would evaluate
+    the same candidate. Constrained objectives keep iterates feasible by
+    exact whitening after every step.
     """
     objective = ObjectiveKind(objective)
     opts = opts or VariationalOptions()
@@ -446,7 +449,6 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     lr = opts.learning_rate
     trace = [value]
     rejected = 0
-    quiet_steps = 0
     # gradients are taken in the marginal-weighted inner product, so step
     # sizes are comparable across support sizes
     precond = weights[:, None]
@@ -458,16 +460,12 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
         if drop > 1e-11:
             current, value, grad = candidate, cand_value, cand_grad
             rejected = 0
-            quiet_steps = 0
             # grow the step while descending; halving below caps it at the
             # stability boundary
             lr = min(lr * 1.05, opts.learning_rate * 1e6)
         elif drop >= -1e-11:
             # tie at the projection noise floor: converged in practice
-            rejected = 0
-            quiet_steps += 1
-            if quiet_steps >= 50:
-                break
+            break
         else:
             rejected += 1
             lr *= 0.5

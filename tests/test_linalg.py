@@ -10,10 +10,14 @@ from contexture import (DiscreteDistribution, NumericalError, PointSet,
 from contexture._linalg import (_DIST_BLOCK_ROWS, fix_signs, knn_index, nearest,
                                 sq_dists, top_eigenpairs, weighted_center,
                                 weighted_cov, whiten_columns)
-from contexture.evaluation import _GAP_BLOCK
 from contexture.harness import extend_encoder
 from contexture.objectives import _FORMS, ObjectiveKind
 from contexture.verify import random_graph_context
+
+
+# points per side of a tile in the tiled reference scan, and the step of
+# the sample sizes the Lipschitz tests draw
+GAP_BLOCK = 8
 
 
 def unblocked_sq_dists(a, b):
@@ -224,8 +228,8 @@ def per_row_lipschitz(kernel, points, lipschitz_sample):
 
 
 @settings(max_examples=100, deadline=None)
-@given(sample=st.sampled_from([2, _GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1,
-                               2 * _GAP_BLOCK + 3]),
+@given(sample=st.sampled_from([2, GAP_BLOCK - 1, GAP_BLOCK, GAP_BLOCK + 1,
+                               2 * GAP_BLOCK + 3]),
        extra=st.integers(0, 9), p=st.integers(1, 3),
        n_duplicates=st.integers(0, 6), seed=st.integers(0, 2 ** 31 - 1))
 def test_lipschitz_equals_per_row_loop(sample, extra, p, n_duplicates, seed):
@@ -252,19 +256,19 @@ def tiled_lipschitz(kernel, points, lipschitz_sample):
     cols = kernel.T[np.ix_(idx, idx)]
     pts = points[idx]
     size = len(idx)
-    tile = np.empty((_GAP_BLOCK, _GAP_BLOCK, size))
+    tile = np.empty((GAP_BLOCK, GAP_BLOCK, size))
     best = 0.0
     found_distinct = False
-    for a0 in range(0, size, _GAP_BLOCK):
-        anchors = cols[a0:a0 + _GAP_BLOCK, None, :]
+    for a0 in range(0, size, GAP_BLOCK):
+        anchors = cols[a0:a0 + GAP_BLOCK, None, :]
         gaps = np.empty((anchors.shape[0], size - a0))
-        for b0 in range(a0, size, _GAP_BLOCK):
-            others = cols[None, b0:b0 + _GAP_BLOCK, :]
+        for b0 in range(a0, size, GAP_BLOCK):
+            others = cols[None, b0:b0 + GAP_BLOCK, :]
             diff = tile[:anchors.shape[0], :others.shape[1]]
             np.subtract(anchors, others, out=diff)
             np.abs(diff, out=diff)
-            np.max(diff, axis=2, out=gaps[:, b0 - a0:b0 - a0 + _GAP_BLOCK])
-        dists = np.sqrt(sq_dists(pts[a0:a0 + _GAP_BLOCK], pts[a0:]))
+            np.max(diff, axis=2, out=gaps[:, b0 - a0:b0 - a0 + GAP_BLOCK])
+        dists = np.sqrt(sq_dists(pts[a0:a0 + GAP_BLOCK], pts[a0:]))
         pairs = np.triu(dists > 0, 1)
         if not pairs.any():
             continue
@@ -293,9 +297,9 @@ def screen_test_kernel(rng, kind, pts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sample=st.sampled_from([2, _GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1,
-                               2 * _GAP_BLOCK, 3 * _GAP_BLOCK + 1,
-                               5 * _GAP_BLOCK - 1, 6 * _GAP_BLOCK]),
+@given(sample=st.sampled_from([2, GAP_BLOCK - 1, GAP_BLOCK, GAP_BLOCK + 1,
+                               2 * GAP_BLOCK, 3 * GAP_BLOCK + 1,
+                               5 * GAP_BLOCK - 1, 6 * GAP_BLOCK]),
        extra=st.integers(0, 9), p=st.integers(1, 3),
        kind=st.sampled_from(["mixed", "sparse", "knn", "flat"]),
        exponent=st.integers(-320, 300), n_duplicates=st.integers(0, 6),
@@ -325,13 +329,13 @@ def test_sq_dists_of_a_strip_equal_the_full_matrix(size, p, seed):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((size, p)) * rng.uniform(0.01, 100.0)
     full = sq_dists(pts, pts)
-    for a0 in range(0, size, _GAP_BLOCK):
-        strip = sq_dists(pts[a0:a0 + _GAP_BLOCK], pts[a0:])
-        assert np.array_equal(full[a0:a0 + _GAP_BLOCK, a0:], strip)
+    for a0 in range(0, size, GAP_BLOCK):
+        strip = sq_dists(pts[a0:a0 + GAP_BLOCK], pts[a0:])
+        assert np.array_equal(full[a0:a0 + GAP_BLOCK, a0:], strip)
 
 
 @pytest.mark.parametrize("kind", ["knn", "rbf"])
-def test_screened_lipschitz_computes_few_tiles_in_float64(kind, monkeypatch):
+def test_screened_lipschitz_computes_few_pairs_in_float64(kind, monkeypatch):
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((200, 2))
     if kind == "knn":
@@ -340,23 +344,76 @@ def test_screened_lipschitz_computes_few_tiles_in_float64(kind, monkeypatch):
         kernel = np.exp(-0.1 * sq_dists(pts, pts))
         kernel /= kernel.sum(axis=1, keepdims=True)
         kernel = kernel @ kernel.T * 200
-    tiles = {np.dtype(np.float32): 0, np.dtype(np.float64): 0}
-    strip_gaps = evaluation._strip_gaps
+    # the distinct (anchor, other) pairs each pass computes gaps for
+    pairs = {np.dtype(np.int16): set(), np.dtype(np.float64): set()}
+    gaps = evaluation._gaps
 
-    def counting(cols, a0, strip_tiles):
-        tiles[cols.dtype] += len(strip_tiles)
-        return strip_gaps(cols, a0, strip_tiles)
+    def counting(rows, a, others, out=None):
+        pairs[rows.dtype].update((a, b) for b in others.tolist())
+        return gaps(rows, a, others, out)
 
-    monkeypatch.setattr(evaluation, "_strip_gaps", counting)
+    monkeypatch.setattr(evaluation, "_gaps", counting)
     got = kernel_association_measures(kernel, PointSet(pts),
                                       DiscreteDistribution.uniform(200), 200)[1]
     assert got == tiled_lipschitz(kernel, pts, 200)
-    n_tiles = 200 // _GAP_BLOCK * (200 // _GAP_BLOCK + 1) // 2
-    assert tiles[np.dtype(np.float64)] <= n_tiles // 100
-    if kind == "knn":  # the range bound alone skips most tiles
-        assert tiles[np.dtype(np.float32)] <= n_tiles // 2
-    else:  # a flat kernel: the float32 bound does the skipping
-        assert tiles[np.dtype(np.float32)] >= n_tiles // 2
+    n_pairs = 200 * 199 // 2
+    assert len(pairs[np.dtype(np.float64)]) <= n_pairs // 100
+    if kind == "knn":  # the range bound alone skips most pairs
+        assert len(pairs[np.dtype(np.int16)]) <= n_pairs // 2
+    else:  # a flat kernel: the range bound leaves the integer bound a large
+        # share (45% here), and the integer bound skips nearly all of it
+        assert len(pairs[np.dtype(np.int16)]) >= n_pairs * 2 // 5
+        assert (len(pairs[np.dtype(np.float64)])
+                <= len(pairs[np.dtype(np.int16)]) // 100)
+
+
+@pytest.mark.parametrize("case", ["step_subnormal", "step_below_normal",
+                                  "step_at_normal", "step_above_normal",
+                                  "span_overflows", "codes_0_and_32767",
+                                  "constant"])
+@pytest.mark.parametrize("seed", range(5))
+def test_lipschitz_at_the_integer_screen_boundaries(case, seed):
+    rng = np.random.default_rng(seed)
+    n = 3 * GAP_BLOCK + 1
+    pts = grid_points(rng, n, 2, levels=4)
+    tiny = np.finfo(float).tiny
+    # a step of 3 units of the smallest subnormal would code the largest
+    # entry as 38228, outside int16
+    spans = {"step_subnormal": 32767 * 3.5 * np.nextafter(0.0, 1.0),
+             "step_below_normal": 32767 * np.nextafter(tiny, 0.0),
+             "step_at_normal": 32767 * tiny,
+             "step_above_normal": 32767 * np.nextafter(tiny, 1.0)}
+    if case in spans:
+        kernel = rng.random((n, n)) * spans[case]
+        kernel.flat[rng.choice(n * n, 2, replace=False)] = 0.0, spans[case]
+    elif case == "span_overflows":
+        kernel = rng.uniform(-1.0, 1.0, (n, n)) * 1.7e308
+    elif case == "codes_0_and_32767":
+        kernel = rng.integers(0, 32768, (n, n)).astype(float)
+        kernel.flat[rng.choice(n * n, 2, replace=False)] = 0.0, 32767.0
+    else:
+        kernel = np.full((n, n), rng.standard_normal())
+    # the scan's step, and so whether it screens by integer codes
+    with np.errstate(over="ignore"):
+        step = (kernel.max() - kernel.min()) / 32767
+    if case in ("step_subnormal", "step_below_normal"):
+        assert 0.0 < step < tiny
+    elif case == "span_overflows":
+        assert step == np.inf
+    elif case == "constant":
+        assert step == 0.0
+    else:
+        assert tiny <= step < np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference's overflow
+        expected = per_row_lipschitz(kernel, pts, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernel_association_measures(
+            kernel, PointSet(pts), DiscreteDistribution.uniform(n), n)[1]
+    assert got == expected
+    if case == "span_overflows":
+        assert got == np.inf
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         solve_spectral, solve_variational)
 from contexture import objectives
 from contexture._linalg import (fix_signs, principal_angle_cosines,
-                                weighted_cov, weighted_norm)
+                                weighted_cov, weighted_norm, whiten_columns)
 from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
                                    _least_squares_form, _resolve_aux,
                                    _sandwiched_operator)
@@ -231,6 +231,40 @@ class TestEvalObjective:
         assert abs(value - (-0.5 * 0.8 ** 4)) < 1e-12
 
 
+def solve_with_fifty_tie_steps(kind, ctx, d, opts):
+    """solve_variational's loop as it was when a run ended only after 50
+    ties in a row, each of which re-evaluated the same candidate."""
+    form = _FORMS[ObjectiveKind(kind)]
+    weights = form.marginals(ctx)[0].weights
+    value_grad = objectives._population_loss(ObjectiveKind(kind), ctx, None)
+
+    def project(v):
+        return whiten_columns(v, weights) if form.constrained else v
+
+    current = project(np.random.default_rng(opts.seed).standard_normal(
+        (len(weights), d)))
+    value, grad = value_grad(current)
+    lr, rejected, quiet_steps = opts.learning_rate, 0, 0
+    for _ in range(opts.steps):
+        candidate = project(current - lr * grad / weights[:, None])
+        cand_value, cand_grad = value_grad(candidate)
+        drop = (value - cand_value) / (1.0 + abs(value))
+        if drop > 1e-11:
+            current, value, grad = candidate, cand_value, cand_grad
+            rejected = quiet_steps = 0
+            lr = min(lr * 1.05, opts.learning_rate * 1e6)
+        elif drop >= -1e-11:
+            rejected = 0
+            quiet_steps += 1
+            if quiet_steps >= 50:
+                break
+        else:
+            rejected += 1
+            lr *= 0.5
+            assert rejected < 100
+    return current
+
+
 class TestSolveVariational:
     def test_noncontrastive_reaches_optimum(self, two_state):
         enc = solve_variational("multiview_noncontrastive", two_state, 1)
@@ -326,6 +360,21 @@ class TestSolveVariational:
         with pytest.raises(DivergenceError) as excinfo:
             solve_variational("multiview_contrastive", two_state, 1, opts)
         assert len(loss_calls) == len(excinfo.value.trace)
+
+    @pytest.mark.parametrize("kind", ["multiview_contrastive",
+                                      "multiview_noncontrastive"])
+    def test_first_tie_ends_the_run(self, kind, loss_calls):
+        # one unconstrained and one constrained (whitened) kind
+        rng = np.random.default_rng(3)
+        ctx = FiniteContext(rng.dirichlet(np.ones(5), size=6),
+                            DiscreteDistribution.uniform(6))
+        opts = VariationalOptions(seed=1)
+        enc = solve_variational(kind, ctx, 2, opts)
+        seen = [values.tobytes() for values in loss_calls]
+        assert len(seen) < 1 + opts.steps  # the run ended on a tie
+        assert len(set(seen)) == len(seen)
+        assert np.array_equal(enc.values,
+                              solve_with_fifty_tie_steps(kind, ctx, 2, opts))
 
 class TestEncoderSerialization:
     def test_round_trip(self, tmp_path, two_state):
