@@ -45,6 +45,17 @@ class DiscreteDistribution:
     def uniform(cls, n: int) -> "DiscreteDistribution":
         return cls(np.full(n, 1.0 / n))
 
+    @classmethod
+    def from_saved(cls, weights) -> "DiscreteDistribution":
+        """A distribution read back from storage. Weights that already sum
+        to one to roundoff keep their bits, which a second division by that
+        sum can move; others are checked and normalised as on construction."""
+        w = np.asarray(weights, dtype=float)
+        dist = cls(w)
+        if abs(w.sum() - 1.0) <= w.size * np.finfo(float).eps:
+            object.__setattr__(dist, "weights", w)
+        return dist
+
     def __len__(self) -> int:
         return self.weights.size
 

@@ -21,9 +21,8 @@ from ._linalg import fix_signs, top_eigenpairs
 from .context import DiscreteDistribution, FiniteContext
 
 CLAMP_TOL = 1e-10
-# ``contexture_svd(ctx, rank=r)`` tries the Gram route when min(n, m) is at
-# least GRAM_MIN_SIDE and r is at most min(n, m) // GRAM_RANK_DIVISOR
-GRAM_MIN_SIDE = 256
+# ``contexture_svd(ctx, rank=r)`` tries the Gram route when r is at most
+# min(n, m) // GRAM_RANK_DIVISOR
 GRAM_RANK_DIVISOR = 4
 # the Gram route's certificate: every retained residual |W v - s u| is at
 # most RITZ_RESIDUAL_TOL, the dense SVD's own backward error, and the
@@ -77,8 +76,8 @@ class ContextureSpectrum:
         is finite and ``left``/``right`` hold one column per value."""
         values, left, right = (np.asarray(data[key], dtype=float)
                                for key in ("singular_values", "left", "right"))
-        p_x = DiscreteDistribution(np.asarray(data["p_x"], dtype=float))
-        p_a = DiscreteDistribution(np.asarray(data["p_a"], dtype=float))
+        p_x = DiscreteDistribution.from_saved(data["p_x"])
+        p_a = DiscreteDistribution.from_saved(data["p_a"])
         r = values.size
         if (values.ndim != 1 or left.shape != (len(p_x), r)
                 or right.shape != (len(p_a), r)):
@@ -187,17 +186,16 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
 
     Two routes give the remaining ``rank - 1`` triplets of the deflated
     matrix W. The dense SVD is the default and the oracle. A rank ``r``
-    request with min(n, m) >= ``GRAM_MIN_SIDE`` and
-    r <= min(n, m) // ``GRAM_RANK_DIVISOR`` first tries the Gram route:
-    ``eigh`` of the smaller of W W^T and W^T W, then one Rayleigh-Ritz step
-    on its top r - 1 eigenvectors, with the deflated constants (null vectors
-    of W) projected out of both sides. The route is certified only if every
-    retained residual |W v - s u| is at most ``RITZ_RESIDUAL_TOL`` and the
-    smallest retained Gram eigenvalue exceeds ``GRAM_EIG_REL_FLOOR`` times
-    the largest; otherwise the dense SVD runs instead. A certified result
-    agrees with the dense one to the dense SVD's own backward error, so
-    values move at the ulp level and a span moves by at most the residual
-    over its gap.
+    request with r <= min(n, m) // ``GRAM_RANK_DIVISOR`` first tries the
+    Gram route: ``eigh`` of the smaller of W W^T and W^T W, then one
+    Rayleigh-Ritz step on its top r - 1 eigenvectors, with the deflated
+    constants (null vectors of W) projected out of both sides. Its result is
+    kept only if every retained residual |W v - s u| is at most
+    ``RITZ_RESIDUAL_TOL`` and the smallest retained Gram eigenvalue exceeds
+    ``GRAM_EIG_REL_FLOOR`` times the largest; otherwise the dense SVD runs
+    instead. A certified result agrees with the dense one to the dense SVD's
+    own backward error, so values move at the ulp level and a span moves by
+    at most the residual over its gap.
     """
     n, m = ctx.conditional.shape
     full = min(n, m)
@@ -213,7 +211,7 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
 
     keep = rank - 1
     triplets = None
-    if full >= GRAM_MIN_SIDE and rank <= full // GRAM_RANK_DIVISOR:
+    if rank <= full // GRAM_RANK_DIVISOR:
         triplets = _certified_ritz_triplets(deflated, keep, sp, sq)
     if triplets is None:
         u, s, vt = np.linalg.svd(deflated)

@@ -22,8 +22,8 @@ from .evaluation import (TaskFunction, approx_err, cca_alignment,
                          compatibility, compatible_lift, ratio_trace,
                          usefulness_metric, worst_case_err)
 from .objectives import (_FORMS, LossKernelKind, ObjectiveKind,
-                         SampleEncoder, VariationalOptions, average_encoder,
-                         eval_objective, operator_eigenvalues,
+                         SampleEncoder, VariationalOptions, _population_loss,
+                         average_encoder, eval_objective, operator_eigenvalues,
                          solve_spectral, solve_variational)
 from .spectral import (adjoint_matrix, contexture_svd, dual_kernel,
                        reconstruct_joint, singular_residuals)
@@ -354,11 +354,10 @@ def minimality_checks(rng, n, m, trials) -> list[dict]:
         ctx, aux = nondegenerate_context(rng, kind, n, m, d=2)
         enc = solve_spectral(kind, ctx, 2, aux)
         best = eval_objective(kind, ctx, enc, aux)
-        marginal = enc.marginal
+        loss = _population_loss(kind, ctx, aux)
+        weights = enc.marginal.weights
         rand_best = min(
-            eval_objective(kind, ctx, SampleEncoder(whiten_columns(
-                rng.standard_normal((len(marginal), 2)), marginal.weights),
-                enc.support, marginal), aux)
+            loss(whiten_columns(rng.standard_normal((weights.size, 2)), weights))[0]
             for _ in range(200))
         res.append(max(0.0, best - rand_best))
     return [_check("spectral_solution_minimality", res, 1e-9)]

@@ -8,7 +8,7 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         cca_alignment, contexture_svd, eval_objective,
                         load_encoder, loss_kernel_matrix, save_encoder,
                         solve_spectral, solve_variational)
-from contexture import objectives
+from contexture import objectives, verify
 from contexture._linalg import (fix_signs, principal_angle_cosines,
                                 weighted_cov, weighted_norm, whiten_columns)
 from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
@@ -229,6 +229,30 @@ class TestEvalObjective:
         enc = solve_spectral("multiview_contrastive", two_state, 1)
         value = eval_objective("multiview_contrastive", two_state, enc)
         assert abs(value - (-0.5 * 0.8 ** 4)) < 1e-12
+
+    def test_verify_minimality_builds_each_loss_once(self, monkeypatch):
+        # verify's minimality check reads its 200 random encoders per kind
+        # from one loss; each value is eval_objective's, bit for bit
+        built, seen = [], []
+
+        def spy(kind, ctx, aux):
+            loss = objectives._population_loss(kind, ctx, aux)
+            built.append(kind)
+
+            def record(values):
+                out = loss(values)
+                seen.append((kind, ctx, aux, values, out[0]))
+                return out
+            return record
+
+        monkeypatch.setattr(verify, "_population_loss", spy)
+        checks = verify.minimality_checks(np.random.default_rng(0), 24, 20, 3)
+        assert checks[0]["passed"]
+        assert len(built) == 3 and len(seen) == 600
+        for kind, ctx, aux, values, value in seen:
+            form = _FORMS[kind]
+            enc = SampleEncoder(values, form.support, form.marginals(ctx)[0])
+            assert eval_objective(kind, ctx, enc, aux) == value
 
 
 def solve_with_fifty_tie_steps(kind, ctx, d, opts):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contexture import (DiscreteDistribution, FiniteContext, PointSet,
-                        adjoint_matrix, build_knn_context, build_label_context,
-                        build_masked_context, build_rbf_context,
-                        contexture_svd, dual_kernel, load_spectrum,
+                        SampleEncoder, adjoint_matrix, build_knn_context,
+                        build_label_context, build_masked_context,
+                        build_rbf_context, contexture_svd, dual_kernel,
+                        estimate_covariances, load_spectrum,
                         positive_pair_kernel, reconstruct_joint,
                         save_spectrum, spectral, verify, verify_theorems)
 from contexture._linalg import weighted_norm
-from contexture.spectral import (CLAMP_TOL, GRAM_MIN_SIDE, GRAM_RANK_DIVISOR,
+from contexture.spectral import (CLAMP_TOL, GRAM_RANK_DIVISOR,
                                 ContextureSpectrum, singular_residuals)
 
 # backward error of the dense SVD oracle, about n * eps * |W|: what Wedin's
@@ -270,6 +271,38 @@ class TestSerialization:
         with pytest.raises(ValueError, match="shape|values"):
             ContextureSpectrum.from_json_dict(data)
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_rbf_context(PointSet(
+            np.random.default_rng(0).standard_normal((1000, 3))), 0.5),
+        lambda: build_rbf_context(PointSet(
+            np.random.default_rng(1).standard_normal((7, 2))), 0.5),
+        lambda: verify.random_graph_context(np.random.default_rng(2), 15),
+    ], ids=["uniform-1000", "uniform-7", "graph-degrees"])
+    def test_marginals_keep_their_bits(self, tmp_path, make):
+        # a second division by the sum of saved weights moves the uniform
+        # marginal at 7 and at 1000 points by an ulp
+        ctx = make()
+        spec = contexture_svd(ctx, rank=3)
+        path = tmp_path / "spec.json"
+        save_spectrum(spec, path)
+        loaded = load_spectrum(path)
+        assert np.array_equal(loaded.input_marginal.weights,
+                              ctx.input_marginal.weights)
+        assert np.array_equal(loaded.context_marginal.weights,
+                              ctx.context_marginal.weights)
+        enc = SampleEncoder(loaded.left_functions[:, 1:], "input",
+                            loaded.input_marginal)
+        estimate_covariances(enc, ctx)
+
+    def test_unnormalised_saved_marginal_is_normalised(self, two_state):
+        data = contexture_svd(two_state).to_json_dict()
+        data["p_x"] = [1.0, 3.0]
+        loaded = ContextureSpectrum.from_json_dict(data)
+        assert loaded.input_marginal.weights.tolist() == [0.25, 0.75]
+        data["p_x"] = [1.0, -1.0]
+        with pytest.raises(ValueError, match="non-negative"):
+            ContextureSpectrum.from_json_dict(data)
+
     def test_truncated_spectrum_round_trips(self):
         # fewer value columns than points, and 9 inputs against 6 contexts
         spec = contexture_svd(random_context(3, 9, 6), rank=4)
@@ -337,19 +370,18 @@ def assert_matches_dense(ctx, spec, certified):
 
 def request_rank(data, ctx, lowest=2):
     full = min(ctx.conditional.shape)
-    assert full >= GRAM_MIN_SIDE  # every case here is inside the Gram gate
     return data.draw(st.integers(lowest, full // GRAM_RANK_DIVISOR), label="rank")
 
 
 class TestGramRoute:
     @settings(max_examples=12, deadline=None)
-    @given(tall=st.booleans(), extra=st.integers(0, 60),
+    @given(tall=st.booleans(), side=st.integers(8, 256), extra=st.integers(0, 60),
            alpha=st.sampled_from([0.05, 0.3, 2.0]), dirichlet=st.booleans(),
            seed=st.integers(0, 2 ** 31 - 1), data=st.data())
-    def test_dense_context_either_orientation(self, tall, extra, alpha,
+    def test_dense_context_either_orientation(self, tall, side, extra, alpha,
                                               dirichlet, seed, data):
         rng = np.random.default_rng(seed)
-        n, m = GRAM_MIN_SIDE + extra, GRAM_MIN_SIDE
+        n, m = side + extra, side
         if not tall:
             n, m = m, n
         marginal = (DiscreteDistribution(rng.dirichlet(np.ones(n)))
@@ -361,11 +393,11 @@ class TestGramRoute:
 
     @settings(max_examples=8, deadline=None)
     @given(clusters=st.integers(2, 4), k=st.integers(2, 8),
-           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
-    def test_disconnected_knn_graph(self, clusters, k, seed, data):
+           size=st.integers(10, 128), seed=st.integers(0, 2 ** 31 - 1),
+           data=st.data())
+    def test_disconnected_knn_graph(self, clusters, k, size, seed, data):
         # far-apart clusters: s = 1 once for each component past the first
         rng = np.random.default_rng(seed)
-        size = 2 * GRAM_MIN_SIDE // clusters
         points = np.concatenate([rng.standard_normal((size, 2)) + 1e3 * c
                                  for c in range(clusters)])
         ctx = build_knn_context(PointSet(points), k)
@@ -376,13 +408,14 @@ class TestGramRoute:
         assert_matches_dense(ctx, spec, certified=True)
 
     @settings(max_examples=10, deadline=None)
-    @given(knn=st.booleans(), copies=st.integers(1, 200),
-           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
-    def test_duplicate_points(self, knn, copies, seed, data):
+    @given(knn=st.booleans(), size=st.integers(8, 300),
+           copies=st.integers(1, 200), seed=st.integers(0, 2 ** 31 - 1),
+           data=st.data())
+    def test_duplicate_points(self, knn, size, copies, seed, data):
         # a kNN spectrum decays slowly and is certified; an RBF one with
         # duplicate rows is certified or falls back, by the rank asked for
         rng = np.random.default_rng(seed)
-        base = rng.standard_normal((GRAM_MIN_SIDE + 44, 2))
+        base = rng.standard_normal((size, 2))
         points = PointSet(np.concatenate(
             [base, base[rng.integers(0, len(base), copies)]]))
         ctx = (build_knn_context(points, 5) if knn
@@ -393,14 +426,16 @@ class TestGramRoute:
         assert_matches_dense(ctx, spec, certified=routes == [True])
 
     @settings(max_examples=10, deadline=None)
-    @given(gamma=st.sampled_from([1e-4, 1e-3]), extra=st.integers(0, 60),
-           low=st.booleans(), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
-    def test_fast_decaying_rbf(self, gamma, extra, low, seed, data):
+    @given(gamma=st.sampled_from([1e-4, 1e-3]), low=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_fast_decaying_rbf(self, gamma, low, seed, data):
         # s_1 is about gamma and the spectrum falls by orders per step, so
         # from rank 9 on s_8 / s_1 is far below sqrt(GRAM_EIG_REL_FLOOR) and
         # the request falls back; a low rank may still be certified
         rng = np.random.default_rng(seed)
-        points = PointSet(rng.standard_normal((GRAM_MIN_SIDE + extra, 2)))
+        # a rank from 9 up needs 36 points; ranks 2 to 4 need 16
+        size = data.draw(st.integers(16 if low else 36, 316), label="size")
+        points = PointSet(rng.standard_normal((size, 2)))
         ctx = build_rbf_context(points, gamma)
         full = min(ctx.conditional.shape)
         rank = data.draw(st.integers(2, 4) if low
@@ -424,13 +459,25 @@ class TestGramRoute:
         assert taken[:8] == [True] * 8 and taken[-1] is False
 
     def test_outside_the_gate_is_dense(self):
-        small = random_context(8, GRAM_MIN_SIDE - 1, GRAM_MIN_SIDE + 10)
-        big = random_context(9, GRAM_MIN_SIDE, GRAM_MIN_SIDE)
-        for ctx, rank in ((small, 4), (big, GRAM_MIN_SIDE // GRAM_RANK_DIVISOR + 1),
-                          (big, None)):
+        # a rank above min(n, m) // GRAM_RANK_DIVISOR, and no rank at all
+        ctx = random_context(9, 256, 256)
+        for rank in (256 // GRAM_RANK_DIVISOR + 1, None):
             spec, routes = svd_with_route(ctx, rank)
             assert routes == []
             assert_matches_dense(ctx, spec, certified=False)
+
+    def test_small_context_takes_the_route(self):
+        ctx = random_context(8, 255, 266)
+        spec, routes = svd_with_route(ctx, 4)
+        assert routes == [True]
+        assert_matches_dense(ctx, spec, certified=True)
+
+    def test_rank_one_keeps_nothing_and_equals_dense(self):
+        # the route retains no triplet: only the constant pair is left
+        ctx = random_context(12, 24, 20)
+        spec, routes = svd_with_route(ctx, 1)
+        assert routes == [True]
+        assert_matches_dense(ctx, spec, certified=False)
 
 
 # ---------------------------------------------------------------------------
