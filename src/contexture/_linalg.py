@@ -93,8 +93,15 @@ def knn_index(points: np.ndarray, k: int) -> np.ndarray:
 
 def top_eigenpairs(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues of the symmetrised ``mat``, descending, and
-    their eigenvectors as C-ordered columns."""
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    their eigenvectors as C-ordered columns.
+
+    An exactly symmetric ``mat`` (a Gram product ``w @ w.T``, which numpy
+    forms with one triangle mirrored) is its own symmetrisation bit for
+    bit, so it goes to ``eigh`` without that copy.
+    """
+    if not np.array_equal(mat, mat.T):
+        mat = 0.5 * (mat + mat.T)
+    evals, evecs = np.linalg.eigh(mat)
     # C order: downstream BLAS products round differently by memory layout
     return evals[::-1][:k], np.ascontiguousarray(evecs[:, ::-1][:, :k])
 

@@ -295,7 +295,9 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
     if not np.all(np.isfinite(kernel)):
         raise ValueError("kernel entries must be finite")
     w = marginal.weights
-    deviation = float(w @ np.abs(kernel - 1.0) @ w)
+    gap = kernel - 1.0
+    deviation = float(w @ np.abs(gap, out=gap) @ w)
+    del gap
 
     if lipschitz_sample < 2:
         raise ValueError("lipschitz_sample must be at least 2 to form a pair, "
@@ -351,22 +353,35 @@ def _lipschitz_scan(cols: np.ndarray, pts: np.ndarray) -> float:
     still qualify are computed in float64.
     """
     size = len(cols)
-    dists = np.sqrt(sq_dists(pts, pts))
+    dists = sq_dists(pts, pts)
+    np.sqrt(dists, out=dists)
     distinct = dists > 0
     if not distinct.any():
         raise ValueError("all sampled points coincide; Lipschitz estimate undefined")
+    # the seed pass and the coding run over blocks of this many rows, so
+    # their temporaries stay far below n x n
+    block = 64
     # seed: each point against its nearest distinct neighbour, exactly
-    rows = np.flatnonzero(distinct.any(axis=1))
-    near = np.argmin(np.where(distinct[rows], dists[rows], np.inf), axis=1)
-    diff = cols[rows] - cols[near]
-    seed = float(np.max(np.max(np.abs(diff, out=diff), axis=1) / dists[rows, near]))
+    seed = 0.0
+    for start in range(0, size, block):
+        rows = start + np.flatnonzero(distinct[start:start + block].any(axis=1))
+        if not len(rows):
+            continue
+        near = np.argmin(np.where(distinct[rows], dists[rows], np.inf), axis=1)
+        diff = cols[rows]
+        diff -= cols[near]
+        seed = max(seed, float(np.max(np.max(np.abs(diff, out=diff), axis=1)
+                                      / dists[rows, near])))
     hi, lo = cols.max(axis=1), cols.min(axis=1)
     base = lo.min()
     step = (hi.max() - base) / 32767
     screened = np.finfo(float).tiny <= step < np.inf
     if screened:
         codes = np.empty(cols.shape, dtype=np.int16)
-        np.rint((cols - base) / step, out=codes, casting="unsafe")
+        for start in range(0, size, block):
+            scaled = cols[start:start + block] - base
+            scaled /= step
+            np.rint(scaled, out=codes[start:start + block], casting="unsafe")
         buf = np.empty_like(codes)
     slack = 1.0 + 2.0 ** -20
 

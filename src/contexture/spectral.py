@@ -143,28 +143,50 @@ def singular_residuals(spec: ContextureSpectrum,
             _residuals(whitened.T, right, s, left))
 
 
-def _certified_ritz_triplets(w: np.ndarray, keep: int, null_left: np.ndarray,
-                             null_right: np.ndarray):
-    """Top ``keep`` singular triplets ``(u, s, v)`` of ``w`` from the
-    eigenproblem of its smaller Gram matrix, or None if uncertified.
+def _deflated_operator(ctx: FiniteContext, sp: np.ndarray,
+                       sq: np.ndarray) -> np.ndarray:
+    """The whitened conditional matrix with its constant pair removed,
+    ``diag(sp) T diag(1 / sq) - sp sq^T``, with ``sp`` and ``sq`` the square
+    roots of the marginals."""
+    deflated = sp[:, None] * ctx.conditional / sq[None, :]
+    deflated -= np.outer(sp, sq)
+    return deflated
 
-    ``null_left`` and ``null_right`` are unit null vectors of ``w`` (the
-    deflated constants). A Rayleigh-Ritz step on the Gram eigenvectors U
-    (the SVD of ``U.T @ w``) leaves ``w.T @ u = s v`` and both sides
-    orthonormal to roundoff, so the residual |w v - s u| of each triplet is
-    its only error; by Wedin's bound it limits the value error, and the
-    span angle times the gap, as the dense SVD's backward error does.
+
+def _certified_ritz_triplets(ctx: FiniteContext, keep: int, sp: np.ndarray,
+                             sq: np.ndarray):
+    """Top ``keep`` >= 1 singular triplets ``(u, s, v)`` of the deflated
+    operator W of ``ctx`` from the eigenproblem of its smaller Gram
+    matrix, or None if uncertified.
+
+    ``sp`` and ``sq`` are the square roots of the marginals; they are unit
+    null vectors of W (the deflated constants). W is formed for the Gram
+    product, dropped while ``eigh`` runs, and formed again for the
+    Rayleigh-Ritz step. That step on the Gram eigenvectors U (the SVD of
+    ``U.T @ W``) leaves ``W.T @ u = s v`` and both sides orthonormal to
+    roundoff, so the residual |W v - s u| of each triplet is its only
+    error; by Wedin's bound it limits the value error, and the span angle
+    times the gap, as the dense SVD's backward error does.
     """
-    tall = w.shape[0] > w.shape[1]
-    if tall:  # take the Gram matrix of the smaller side
-        w, null_left, null_right = w.T, null_right, null_left
-    evals, basis = top_eigenpairs(w @ w.T, keep)
-    if keep and not evals[-1] > GRAM_EIG_REL_FLOOR * evals[0]:
+    tall = ctx.conditional.shape[0] > ctx.conditional.shape[1]
+    null_left, null_right = (sq, sp) if tall else (sp, sq)
+
+    def operator():  # oriented so that w @ w.T is the smaller Gram matrix
+        w = _deflated_operator(ctx, sp, sq)
+        return w.T if tall else w
+
+    w = operator()
+    gram = w @ w.T
+    del w  # not alive while eigh runs
+    evals, basis = top_eigenpairs(gram, keep)
+    del gram
+    if not evals[-1] > GRAM_EIG_REL_FLOOR * evals[0]:
         return None
     # an eigenvector of eigenvalue s^2 picks up Gram roundoff along the null
     # vectors that grows as 1/s^2; removing it keeps the functions
     # orthogonal to the constant to roundoff, as the dense SVD's are
     basis -= np.outer(null_left, null_left @ basis)
+    w = operator()
     core = basis.T @ w
     core -= np.outer(core @ null_right, null_right)
     rot, s, vt = np.linalg.svd(core, full_matrices=False)
@@ -184,10 +206,12 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     when further singular values tie with 1. Signs are fixed so each left
     function's largest-magnitude entry is positive.
 
+    A rank-1 request is the constant pair alone and decomposes nothing.
     Two routes give the remaining ``rank - 1`` triplets of the deflated
-    matrix W. The dense SVD is the default and the oracle. A rank ``r``
-    request with r <= min(n, m) // ``GRAM_RANK_DIVISOR`` first tries the
-    Gram route: ``eigh`` of the smaller of W W^T and W^T W, then one
+    matrix W. The dense route, the default and the oracle, is the thin SVD
+    of W. A rank ``r`` request with 2 <= r <= min(n, m) //
+    ``GRAM_RANK_DIVISOR`` first tries the Gram route: ``eigh`` of the
+    smaller of W W^T and W^T W, with W dropped while it runs, then one
     Rayleigh-Ritz step on its top r - 1 eigenvectors, with the deflated
     constants (null vectors of W) projected out of both sides. Its result is
     kept only if every retained residual |W v - s u| is at most
@@ -206,15 +230,16 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     p = ctx.input_marginal.weights
     q = ctx.context_marginal.weights
     sp, sq = np.sqrt(p), np.sqrt(q)
-    deflated = sp[:, None] * ctx.conditional / sq[None, :]
-    deflated -= np.outer(sp, sq)
 
     keep = rank - 1
     triplets = None
-    if rank <= full // GRAM_RANK_DIVISOR:
-        triplets = _certified_ritz_triplets(deflated, keep, sp, sq)
+    if keep == 0:  # the constant pair alone: nothing to decompose
+        triplets = np.empty((n, 0)), np.empty(0), np.empty((m, 0))
+    elif rank <= full // GRAM_RANK_DIVISOR:
+        triplets = _certified_ritz_triplets(ctx, keep, sp, sq)
     if triplets is None:
-        u, s, vt = np.linalg.svd(deflated)
+        u, s, vt = np.linalg.svd(_deflated_operator(ctx, sp, sq),
+                                 full_matrices=False)
         triplets = u[:, :keep], s[:keep], vt[:keep].T
     u, s, v = triplets
     values = np.concatenate(([1.0], s))

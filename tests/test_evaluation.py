@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from contexture import (DiscreteDistribution, FiniteContext, NumericalError,
                         PointSet, SampleEncoder, TaskFunction, approx_err,
-                        cca_alignment, compatibility, compatible_lift,
+                        build_rbf_context, cca_alignment, compatibility,
+                        compatible_lift,
                         contexture_svd, correlation_stats, decay_rate,
                         dual_kernel, fisher_discriminant, fit_linear_probe,
                         kernel_association_measures, make_usefulness_report,
@@ -374,6 +376,24 @@ class TestAssociationMeasures:
                                      beta=1.0)
         assert np.isnan(rep.decay_rate)
         assert np.isfinite(rep.tau)
+
+    def test_report_holds_few_square_arrays(self):
+        # the kernel K, its transposed copy and the distances, with int16
+        # codes and a bool mask: 3.75 arrays of n x n doubles traced at
+        # n = 400 (numpy 2.4); whole-matrix temporaries for |K - 1|, the
+        # seed pass and the coding took it to 5.45
+        n = 400
+        pts = PointSet(np.random.default_rng(6).standard_normal((n, 3)))
+        ctx = build_rbf_context(pts, 0.5)
+        spec = contexture_svd(ctx, rank=10)
+        make_usefulness_report(spec, ctx, pts, d0=5, beta=1.0)
+        tracemalloc.start()
+        try:
+            make_usefulness_report(spec, ctx, pts, d0=5, beta=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * n * n * 8
 
     def test_report_rejects_points_off_the_support(self):
         rng = np.random.default_rng(5)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contexture import (DiscreteDistribution, NumericalError, PointSet,
-                        SampleEncoder, eval_objective, evaluation,
-                        kernel_association_measures)
+from contexture import (DiscreteDistribution, FiniteContext, NumericalError,
+                        PointSet, SampleEncoder, build_knn_context,
+                        build_rbf_context, dual_kernel, eval_objective,
+                        evaluation, kernel_association_measures)
 from contexture._linalg import (_DIST_BLOCK_ROWS, fix_signs, knn_index, nearest,
                                 sq_dists, top_eigenpairs, weighted_center,
                                 weighted_cov, whiten_columns)
@@ -414,6 +415,95 @@ def test_lipschitz_at_the_integer_screen_boundaries(case, seed):
     assert got == expected
     if case == "span_overflows":
         assert got == np.inf
+
+
+@np.errstate(over="ignore")
+def whole_matrix_lipschitz_scan(cols, pts):
+    """The screened scan with its seed pass and int16 coding each taken
+    over the whole matrix at once, as whole-matrix temporaries."""
+    size = len(cols)
+    dists = np.sqrt(sq_dists(pts, pts))
+    distinct = dists > 0
+    rows = np.flatnonzero(distinct.any(axis=1))
+    near = np.argmin(np.where(distinct[rows], dists[rows], np.inf), axis=1)
+    diff = cols[rows] - cols[near]
+    seed = float(np.max(np.max(np.abs(diff, out=diff), axis=1) / dists[rows, near]))
+    hi, lo = cols.max(axis=1), cols.min(axis=1)
+    base = lo.min()
+    step = (hi.max() - base) / 32767
+    screened = np.finfo(float).tiny <= step < np.inf
+    if screened:
+        codes = np.empty(cols.shape, dtype=np.int16)
+        np.rint((cols - base) / step, out=codes, casting="unsafe")
+    slack = 1.0 + 2.0 ** -20
+
+    def bounds(a):
+        b = a + 1 + np.flatnonzero(distinct[a, a + 1:])
+        d = dists[a, b]
+        keep = np.maximum(hi[a] - lo[b], hi[b] - lo[a]) / d > seed
+        b, d = b[keep], d[keep]
+        if not (screened and len(b)):
+            return b, d, np.full(len(b), np.inf), np.zeros(len(b))
+        g = evaluation._gaps(codes, a, b)
+        return b, d, (g + slack) * step / d, (g - slack) * step / d
+
+    row_upper = np.zeros(size)
+    floor = seed
+    for a in range(size - 1):
+        b, _, upper, lower = bounds(a)
+        if len(b):
+            row_upper[a] = upper.max()
+            floor = max(floor, float(lower.max()))
+    best = seed
+    for a in np.flatnonzero((row_upper >= floor) & (row_upper > seed)):
+        b, d, upper, _ = bounds(a)
+        keep = (upper >= floor) & (upper > seed)
+        best = max(best, float(np.max(evaluation._gaps(cols, a, b[keep])
+                                      / d[keep])))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["tall", "wide", "duplicates", "disconnected",
+                             "mixed", "sparse"]),
+       n=st.integers(3, 200), strided=st.booleans(),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_association_measures_equal_whole_matrix_passes(kind, n, strided, seed,
+                                                        data):
+    # the deviation with |K - 1| taken in place, and the scan's seed pass
+    # and coding run in row blocks, give the same floats; sizes up to 200
+    # cross several row blocks. Dual kernels of contexts (tall, wide,
+    # duplicate points, a disconnected kNN graph) usually peak at the seed
+    # pair; random kernels lean on the integer screen
+    rng = np.random.default_rng(seed)
+    if kind in ("mixed", "sparse"):
+        pts = grid_points(rng, n, 2, levels=6)
+        kernel = screen_test_kernel(rng, kind, pts)
+        marginal = DiscreteDistribution(rng.dirichlet(np.ones(n)))
+    else:
+        if kind in ("tall", "wide"):
+            m = n + data.draw(st.integers(1, 40)) if kind == "wide" else max(2, n // 3)
+            pts = rng.standard_normal((n, 2))
+            ctx = FiniteContext(rng.dirichlet(np.full(m, 0.3), size=n),
+                                DiscreteDistribution(rng.dirichlet(np.ones(n))))
+        elif kind == "duplicates":
+            pts = grid_points(rng, n, 2, levels=5)
+            ctx = (build_knn_context(PointSet(pts), min(4, n - 1))
+                   if data.draw(st.booleans()) else build_rbf_context(PointSet(pts), 1.0))
+        else:
+            pts = rng.standard_normal((n, 2))
+            pts[: n // 2] += 1e3
+            ctx = build_knn_context(PointSet(pts), min(3, n - 1))
+        kernel, marginal = dual_kernel(ctx), ctx.input_marginal
+    sample = data.draw(st.integers(2, n)) if strided else n
+    idx = np.unique(np.round(np.linspace(0, n - 1, sample)).astype(int))
+    if not (sq_dists(pts[idx], pts[idx]) > 0).any():
+        return  # every sampled point coincides: rejected either way
+    w = marginal.weights
+    expected = (float(w @ np.abs(kernel - 1.0) @ w),
+                whole_matrix_lipschitz_scan(kernel.T[np.ix_(idx, idx)], pts[idx]))
+    assert kernel_association_measures(kernel, PointSet(pts), marginal,
+                                       sample) == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,11 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         SampleEncoder, adjoint_matrix, build_knn_context,
@@ -13,8 +14,9 @@ from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         estimate_covariances, load_spectrum,
                         positive_pair_kernel, reconstruct_joint,
                         save_spectrum, spectral, verify, verify_theorems)
-from contexture._linalg import weighted_norm
-from contexture.spectral import (CLAMP_TOL, GRAM_RANK_DIVISOR,
+from contexture._linalg import fix_signs, weighted_norm
+from contexture.spectral import (CLAMP_TOL, GRAM_EIG_REL_FLOOR,
+                                GRAM_RANK_DIVISOR, RITZ_RESIDUAL_TOL,
                                 ContextureSpectrum, singular_residuals)
 
 # backward error of the dense SVD oracle, about n * eps * |W|: what Wedin's
@@ -373,6 +375,139 @@ def request_rank(data, ctx, lowest=2):
     return data.draw(st.integers(lowest, full // GRAM_RANK_DIVISOR), label="rank")
 
 
+def deflated_operator(ctx):
+    """The whitened conditional matrix minus its constant pair, and the
+    square roots of the two marginals."""
+    sp = np.sqrt(ctx.input_marginal.weights)
+    sq = np.sqrt(ctx.context_marginal.weights)
+    w = sp[:, None] * ctx.conditional / sq[None, :]
+    w -= np.outer(sp, sq)
+    return w, sp, sq
+
+
+def direct_ritz_triplets(w, keep, null_left, null_right):
+    """The Gram route written directly: W kept throughout, and ``eigh`` of
+    the symmetrised copy 0.5 (G + G^T) of its smaller Gram matrix G."""
+    tall = w.shape[0] > w.shape[1]
+    if tall:
+        w, null_left, null_right = w.T, null_right, null_left
+    gram = w @ w.T
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    evals = evals[::-1][:keep]
+    basis = np.ascontiguousarray(evecs[:, ::-1][:, :keep])
+    if not evals[-1] > GRAM_EIG_REL_FLOOR * evals[0]:
+        return None
+    basis -= np.outer(null_left, null_left @ basis)
+    core = basis.T @ w
+    core -= np.outer(core @ null_right, null_right)
+    rot, s, vt = np.linalg.svd(core, full_matrices=False)
+    u, v = basis @ rot, vt.T
+    if np.any(np.linalg.norm(w @ v - u * s, axis=0) > RITZ_RESIDUAL_TOL):
+        return None
+    return (v, s, u) if tall else (u, s, v)
+
+
+def full_matrices_spectrum(ctx):
+    """The dense route through ``np.linalg.svd(W)`` with its default
+    ``full_matrices=True``: max(n, m) singular vectors on the longer side,
+    of which min(n, m) - 1 are kept."""
+    w, sp, sq = deflated_operator(ctx)
+    u, s, vt = np.linalg.svd(w)
+    keep = min(w.shape) - 1
+    values = np.concatenate(([1.0], s[:keep]))
+    left = np.concatenate((sp[:, None], u[:, :keep]), axis=1) / sp[:, None]
+    right = np.concatenate((sq[:, None], vt[:keep].T), axis=1) / sq[:, None]
+    fix_signs(left, right)
+    return ContextureSpectrum(np.where(values < CLAMP_TOL, 0.0, values), left,
+                              right, ctx.input_marginal, ctx.context_marginal)
+
+
+def function_errors(spec, ctx):
+    """The largest orthonormality error of a spectrum's functions (both
+    sides) and the largest weighted duality residual of its columns."""
+    p, q = ctx.input_marginal.weights, ctx.context_marginal.weights
+    ortho = max(np.max(np.abs(f.T @ (w[:, None] * f) - np.eye(spec.rank)))
+                for f, w in ((spec.left_functions, p), (spec.right_functions, q)))
+    s = spec.singular_values
+    forward = ctx.conditional @ spec.right_functions - spec.left_functions * s
+    backward = adjoint_matrix(ctx) @ spec.left_functions - spec.right_functions * s
+    residual = max(max(weighted_norm(forward[:, i], p),
+                       weighted_norm(backward[:, i], q)) for i in range(spec.rank))
+    return ortho, residual
+
+
+def assert_thin_matches_full(ctx, spec, full):
+    """A thin dense spectrum against the ``full_matrices=True`` one.
+
+    Values are bitwise equal. The functions of a value clamped to zero are
+    any vectors of W's null space, which holds the deflated constant too,
+    so only the unclamped columns are compared: orthonormality and duality
+    residual no worse than the full SVD's own by more than ``SVD_ETA``
+    (both degrade as a value nears zero), and at every cut d the sine of
+    the angle between the top-d left spans times the gap s_d - s_(d+1)
+    within ``SVD_ETA``, a clamped or missing next value counting as zero.
+    """
+    assert np.array_equal(spec.singular_values, full.singular_values)
+    r = np.count_nonzero(~spec.clamped)
+
+    def leading(sp):
+        return dataclasses.replace(
+            sp, singular_values=sp.singular_values[:r],
+            left_functions=sp.left_functions[:, :r],
+            right_functions=sp.right_functions[:, :r])
+
+    got, ref = function_errors(leading(spec), ctx), function_errors(leading(full), ctx)
+    assert all(g <= e + SVD_ETA for g, e in zip(got, ref))
+    sp = np.sqrt(ctx.input_marginal.weights)[:, None]
+    a, b = sp * spec.left_functions[:, 1:r], sp * full.left_functions[:, 1:r]
+    values = np.append(full.nontrivial_values[:r - 1], 0.0)
+    for d in range(1, r):
+        sine = np.linalg.norm(a[:, :d] - b[:, :d] @ (b[:, :d].T @ a[:, :d]), 2)
+        assert sine * (values[d - 1] - values[d]) <= SVD_ETA
+
+
+def traced_peak(func, *args, **kwargs):
+    """Peak bytes numpy allocates in ``func(*args, **kwargs)``, measured on
+    a second call so one-time allocations are not counted. LAPACK's own
+    workspaces and input copies are not traced."""
+    func(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        func(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def drawn_context(kind, seed, data):
+    """A context of one of the kinds the spectrum routes must agree on:
+    ``tall`` or ``wide`` dense Dirichlet rows, points with ``duplicates``
+    under a kNN or RBF context, or a ``disconnected`` kNN graph."""
+    rng = np.random.default_rng(seed)
+    if kind in ("tall", "wide"):
+        side = data.draw(st.integers(8, 160), label="side")
+        n, m = side + data.draw(st.integers(1, 60), label="extra"), side
+        if kind == "wide":
+            n, m = m, n
+        alpha = data.draw(st.sampled_from([0.05, 0.3, 2.0]), label="alpha")
+        return FiniteContext(rng.dirichlet(np.full(m, alpha), size=n),
+                             DiscreteDistribution(rng.dirichlet(np.ones(n))))
+    if kind == "duplicates":
+        size = data.draw(st.integers(8, 150), label="size")
+        copies = data.draw(st.integers(1, 60), label="copies")
+        base = rng.standard_normal((size, 2))
+        points = PointSet(np.concatenate([base, base[rng.integers(0, size, copies)]]))
+        if data.draw(st.booleans(), label="knn"):
+            return build_knn_context(points, 5)
+        return build_rbf_context(points, 1.0)
+    clusters = data.draw(st.integers(2, 4), label="clusters")
+    size = data.draw(st.integers(10, 60), label="size")
+    points = np.concatenate([rng.standard_normal((size, 2)) + 1e3 * c
+                             for c in range(clusters)])
+    return build_knn_context(PointSet(points), data.draw(st.integers(1, 6),
+                                                          label="k"))
+
+
 class TestGramRoute:
     @settings(max_examples=12, deadline=None)
     @given(tall=st.booleans(), side=st.integers(8, 256), extra=st.integers(0, 60),
@@ -473,11 +608,86 @@ class TestGramRoute:
         assert_matches_dense(ctx, spec, certified=True)
 
     def test_rank_one_keeps_nothing_and_equals_dense(self):
-        # the route retains no triplet: only the constant pair is left
+        # only the constant pair is kept, so no route is tried
         ctx = random_context(12, 24, 20)
         spec, routes = svd_with_route(ctx, 1)
-        assert routes == [True]
+        assert routes == []
         assert_matches_dense(ctx, spec, certified=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["tall", "wide", "duplicates", "disconnected"]),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_route_equals_the_direct_gram_route(self, kind, seed, data):
+        # dropping W during eigh and the symmetrised copy of an exactly
+        # symmetric Gram matrix changes no bit, certified or not
+        ctx = drawn_context(kind, seed, data)
+        # a kNN context drops the points no one picks as a neighbour
+        assume(min(ctx.conditional.shape) >= 2 * GRAM_RANK_DIVISOR)
+        keep = request_rank(data, ctx) - 1
+        w, sp, sq = deflated_operator(ctx)
+        expected = direct_ritz_triplets(w, keep, sp, sq)
+        got = spectral._certified_ritz_triplets(ctx, keep, sp, sq)
+        if expected is None:
+            assert got is None
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_route_holds_few_square_arrays(self):
+        # W while the Gram matrix G is formed, then G and the eigenvectors:
+        # two n x n arrays at a time, where keeping W and a symmetrised
+        # copy of G through eigh held four
+        n = 400
+        ctx = random_context(21, n, n)
+        assert svd_with_route(ctx, 20)[1] == [True]
+        assert traced_peak(contexture_svd, ctx, rank=20) <= 2.5 * n * n * 8
+
+    def test_rank_one_decomposes_nothing(self, monkeypatch):
+        ctx = random_context(13, 40, 30)
+        dense = contexture_svd(ctx)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank-1 spectrum needs no decomposition")
+
+        monkeypatch.setattr(spectral.np.linalg, "eigh", refuse)
+        monkeypatch.setattr(spectral.np.linalg, "svd", refuse)
+        spec = contexture_svd(ctx, rank=1)
+        assert spec.singular_values.tolist() == [1.0]
+        for field in ("left_functions", "right_functions"):
+            assert np.array_equal(getattr(spec, field), getattr(dense, field)[:, :1])
+
+
+class TestDenseRoute:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["label", "knn", "random"]),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_thin_svd_matches_full_matrices(self, kind, seed, data):
+        # label contexts are tall; a kNN context drops the points no one
+        # picks as a neighbour, so it is tall too; random ones go both ways
+        rng = np.random.default_rng(seed)
+        if kind == "label":
+            n = data.draw(st.integers(4, 300), label="n")
+            labels = np.arange(n) % data.draw(st.integers(2, 8), label="classes")
+            ctx = build_label_context(rng.permutation(labels))
+        elif kind == "knn":
+            points = PointSet(rng.standard_normal(
+                (data.draw(st.integers(10, 200), label="n"), 2)))
+            ctx = build_knn_context(points, data.draw(st.integers(1, 4),
+                                                      label="k"))
+        else:
+            n = data.draw(st.integers(3, 120), label="n")
+            m = data.draw(st.integers(3, 120).filter(lambda m: m != n),
+                          label="m")
+            ctx = FiniteContext(rng.dirichlet(np.full(m, 0.5), size=n),
+                                DiscreteDistribution(rng.dirichlet(np.ones(n))))
+        assert_thin_matches_full(ctx, contexture_svd(ctx),
+                                 full_matrices_spectrum(ctx))
+
+    def test_tall_context_allocates_no_square_array(self):
+        # a 3000-point label context has 3 classes: the thin SVD forms no
+        # 3000 x 3000 singular-vector matrix
+        n = 3000
+        ctx = build_label_context(np.arange(n) % 3)
+        assert traced_peak(contexture_svd, ctx) <= 0.1 * n * n * 8
 
 
 # ---------------------------------------------------------------------------
