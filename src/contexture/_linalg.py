@@ -92,15 +92,13 @@ def knn_index(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def top_eigenpairs(mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues of the symmetrised ``mat``, descending, and
+    """The k largest eigenvalues of the symmetric ``mat``, descending, and
     their eigenvectors as C-ordered columns.
 
-    An exactly symmetric ``mat`` (a Gram product ``w @ w.T``, which numpy
-    forms with one triangle mirrored) is its own symmetrisation bit for
-    bit, so it goes to ``eigh`` without that copy.
+    ``mat`` must be symmetric bit for bit (``eigh`` reads one triangle): a
+    Gram product ``w @ w.T`` or ``weighted_gram`` is; any other product is
+    symmetrised by its caller.
     """
-    if not np.array_equal(mat, mat.T):
-        mat = 0.5 * (mat + mat.T)
     evals, evecs = np.linalg.eigh(mat)
     # C order: downstream BLAS products round differently by memory layout
     return evals[::-1][:k], np.ascontiguousarray(evecs[:, ::-1][:, :k])
@@ -131,10 +129,18 @@ def weighted_center(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return values - weighted_mean(values, weights)
 
 
+def weighted_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``values.T @ diag(weights) @ values``, formed as ``r.T @ r`` with
+    ``r = sqrt(weights) * values``. numpy takes that product as a BLAS
+    symmetric rank-k update (syrk) and mirrors one triangle, so it is
+    symmetric bit for bit."""
+    r = np.sqrt(weights)[:, None] * values
+    return r.T @ r
+
+
 def weighted_cov(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Covariance matrix of the columns under the weighting distribution."""
-    centered = weighted_center(values, weights)
-    return centered.T @ (weights[:, None] * centered)
+    return weighted_gram(weighted_center(values, weights), weights)
 
 
 def whiten_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fix_signs, top_eigenpairs, weighted_norm
+from ._linalg import fix_signs, top_eigenpairs, weighted_gram, weighted_norm
 from .context import DiscreteDistribution, FiniteContext
 from .errors import NumericalError
 from .objectives import SampleEncoder
@@ -96,15 +96,11 @@ def estimate_covariances(enc: SampleEncoder, ctx: FiniteContext,
     if not np.array_equal(enc.marginal.weights, p):
         raise ValueError("encoder marginal must equal the context's input marginal")
     centered = enc.centered()
-    # roundoff asymmetry grows with scale, past CovariancePair's 1e-10 check
-    c_phi = centered.T @ (p[:, None] * centered)
-    c_phi = 0.5 * (c_phi + c_phi.T)
+    c_phi = weighted_gram(centered, p)
     adj = adjoint_matrix(ctx)
     if mode == "exact":
-        pushed = adj @ centered
-        b_phi = pushed.T @ (ctx.context_marginal.weights[:, None] * pushed)
-        return CovariancePair(c_phi=c_phi, b_phi=0.5 * (b_phi + b_phi.T),
-                              mode="exact")
+        b_phi = weighted_gram(adj @ centered, ctx.context_marginal.weights)
+        return CovariancePair(c_phi=c_phi, b_phi=b_phi, mode="exact")
     if mode != "pair_sampled":
         raise ValueError("mode must be 'exact' or 'pair_sampled'")
     if n_pairs < 1:
@@ -140,8 +136,8 @@ def estimate_spectrum_posthoc(enc: SampleEncoder, cov: CovariancePair,
     if evals[-1] <= 0:  # the ridge is zero too: the centred encoder is zero
         raise NumericalError("encoder has zero covariance; cannot whiten")
     half = (evecs / np.sqrt(evals)) @ evecs.T
-    core = half @ cov.b_phi @ half
-    eigenvalues, evecs = top_eigenpairs(core, top)
+    core = half @ cov.b_phi @ half  # not a Gram product: symmetric to roundoff
+    eigenvalues, evecs = top_eigenpairs(0.5 * (core + core.T), top)
     funcs = enc.centered() @ (half @ evecs)
     w = enc.marginal.weights
     for j in range(funcs.shape[1]):

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import (fix_signs, top_eigenpairs, weighted_center,
-                      weighted_cov, weighted_mean, whiten_columns)
+                      weighted_cov, weighted_gram, weighted_mean,
+                      whiten_columns)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError
 from .spectral import adjoint_matrix, contexture_svd
@@ -266,9 +267,7 @@ def operator_eigenvalues(objective, ctx: FiniteContext,
     objective = ObjectiveKind(objective)
     if _FORMS[objective].kernel is None:
         return contexture_svd(ctx).nontrivial_values
-    core = _sandwiched_operator(objective, ctx, aux)
-    evals = np.linalg.eigvalsh(0.5 * (core + core.T))
-    return evals[::-1]
+    return np.linalg.eigvalsh(_sandwiched_operator(objective, ctx, aux))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def _center_chain(grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _lc_value_and_grad(q: np.ndarray, h: np.ndarray, values: np.ndarray):
     centered = weighted_center(values, q)
     hg = h @ centered
-    gram = centered.T @ (q[:, None] * centered)
+    gram = weighted_gram(centered, q)
     value = float(-np.sum(centered * hg) + 0.5 * np.sum(gram ** 2))
     grad = -2.0 * hg + 2.0 * q[:, None] * (centered @ gram)
     return value, _center_chain(grad, q)
@@ -375,11 +374,11 @@ def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
         ls = _least_squares_form(objective, ctx, _resolve_aux(objective, ctx, aux))
         return partial(_ls_value_and_grad, ls)
     p = ctx.input_marginal.weights
-    joint = p[:, None] * ctx.conditional
     if objective is ObjectiveKind.NODE_EMBEDDING:
+        joint = p[:, None] * ctx.conditional
         return partial(_quadratic_value_and_grad, p, 0.5 * (joint + joint.T), 1.0)
     q = ctx.context_marginal.weights
-    h = ctx.conditional.T @ joint
+    h = weighted_gram(ctx.conditional, p)
     if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
         return partial(_lc_value_and_grad, q, h)
     return partial(_quadratic_value_and_grad, q, h, 2.0)

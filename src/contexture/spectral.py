@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fix_signs, top_eigenpairs
+from ._linalg import fix_signs, top_eigenpairs, weighted_gram
 from .context import DiscreteDistribution, FiniteContext
 
 CLAMP_TOL = 1e-10
@@ -104,18 +104,14 @@ def adjoint_matrix(ctx: FiniteContext) -> np.ndarray:
 def dual_kernel(ctx: FiniteContext) -> np.ndarray:
     """Density ratio kernel on the input support: joint over product of marginals.
 
-    Symmetric PSD with unit row averages under the input marginal.
+    Symmetric PSD bit for bit, with unit row averages under the input marginal.
     """
-    q = ctx.context_marginal.weights
-    t = ctx.conditional
-    return (t / q[None, :]) @ t.T
+    return weighted_gram(ctx.conditional.T, 1.0 / ctx.context_marginal.weights)
 
 
 def positive_pair_kernel(ctx: FiniteContext) -> np.ndarray:
     """Density ratio kernel on the context support (two views of one input)."""
-    p = ctx.input_marginal.weights
-    adj = adjoint_matrix(ctx)
-    return (adj / p[None, :]) @ adj.T
+    return weighted_gram(adjoint_matrix(ctx).T, 1.0 / ctx.input_marginal.weights)
 
 
 def _residuals(mat: np.ndarray, left: np.ndarray, s: np.ndarray,

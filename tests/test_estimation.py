@@ -7,7 +7,7 @@ from contexture import (CovariancePair, DiscreteDistribution, FiniteContext,
                         build_rbf_context, contexture_svd,
                         estimate_covariances, estimate_spectrum_posthoc,
                         subsample_support)
-from contexture._linalg import principal_angle_cosines
+from contexture._linalg import fix_signs, principal_angle_cosines, weighted_norm
 from contexture.estimation import _hop
 from contexture.spectral import adjoint_matrix
 from contexture.verify import random_graph_context
@@ -193,7 +193,52 @@ class TestPairSampledGrouping:
         assert np.max(np.abs(cov.b_phi - gathered)) <= 1e-12 * scale
 
 
+def earlier_posthoc(enc, cov, top):
+    """``estimate_spectrum_posthoc`` as it was when ``top_eigenpairs``
+    symmetrised any matrix that was not already symmetric bit for bit."""
+    d = enc.d
+    reg = cov.c_phi + 1e-10 * np.trace(cov.c_phi) * np.eye(d)
+    evals, evecs = np.linalg.eigh(reg)
+    half = (evecs / np.sqrt(evals)) @ evecs.T
+    core = half @ cov.b_phi @ half
+    if not np.array_equal(core, core.T):
+        core = 0.5 * (core + core.T)
+    evals, evecs = np.linalg.eigh(core)
+    eigenvalues = evals[::-1][:top]
+    evecs = np.ascontiguousarray(evecs[:, ::-1][:, :top])
+    funcs = enc.centered() @ (half @ evecs)
+    w = enc.marginal.weights
+    for j in range(funcs.shape[1]):
+        scale = weighted_norm(funcs[:, j], w)
+        if scale > 0:
+            funcs[:, j] /= scale
+    fix_signs(funcs)
+    return eigenvalues, funcs
+
+
 class TestEstimateSpectrumPosthoc:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 40), m=st.integers(2, 40), d=st.integers(1, 60),
+           repeated=st.booleans(), sampled=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_pencil_path_equals_the_earlier_bits(self, n, m, d, repeated,
+                                                 sampled, seed, data):
+        # wide encoders (d >= n) and a repeated column make c_phi singular,
+        # so the ridge sets the whitening; the core is symmetric to roundoff
+        rng = np.random.default_rng(seed)
+        ctx = dense_context(seed, n, m)
+        values = rng.standard_normal((n, d))
+        if repeated and d > 1:
+            values[:, -1] = values[:, 0]
+        enc = SampleEncoder(values, "input", ctx.input_marginal)
+        cov = (estimate_covariances(enc, ctx, "pair_sampled", 200, seed=seed)
+               if sampled else estimate_covariances(enc, ctx))
+        top = data.draw(st.integers(1, d), label="top")
+        evals, funcs = estimate_spectrum_posthoc(enc, cov, top)
+        ref_evals, ref_funcs = earlier_posthoc(enc, cov, top)
+        assert np.array_equal(evals, ref_evals)
+        assert np.array_equal(funcs.values, ref_funcs)
+
     def test_consistency_on_exact_functions(self):
         ctx = dense_context(2, 12, 9)
         enc, spec = top_encoder(ctx, 3)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import re
@@ -288,8 +289,13 @@ class TestVerifyTheorems:
     def test_smallest_sizes_return_a_report(self):
         names = [c["name"] for c in
                  verify_theorems(n=12, m=10, trials=1, seed=0)["checks"]]
+        # at n = 4, approx_err fits 5 columns to 4 rows
+        singular = "singular normal equations"
         for n, m in ((4, 4), (4, 80), (80, 4)):
-            report = verify_theorems(n=n, m=m, trials=1, seed=0)
+            expected = (pytest.warns(RuntimeWarning, match=singular) if n == 4
+                        else contextlib.nullcontext())
+            with expected:
+                report = verify_theorems(n=n, m=m, trials=1, seed=0)
             assert [c["name"] for c in report["checks"]] == names
 
 

@@ -2,17 +2,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import contexture
 from contexture import (DiscreteDistribution, FiniteContext, NumericalError,
                         PointSet, SampleEncoder, build_knn_context,
-                        build_rbf_context, dual_kernel, eval_objective,
-                        evaluation, kernel_association_measures)
+                        build_label_context, build_masked_context,
+                        build_rbf_context, contexture_svd, dual_kernel,
+                        estimate_covariances, estimate_spectrum_posthoc,
+                        eval_objective, evaluation, kernel_association_measures,
+                        positive_pair_kernel, verify_theorems)
 from contexture._linalg import (_DIST_BLOCK_ROWS, fix_signs, knn_index, nearest,
                                 sq_dists, top_eigenpairs, weighted_center,
-                                weighted_cov, whiten_columns)
+                                weighted_cov, weighted_gram, whiten_columns)
 from contexture.harness import extend_encoder
-from contexture.objectives import _FORMS, ObjectiveKind
+from contexture.objectives import _FORMS, ObjectiveKind, _population_loss
 from contexture.verify import random_graph_context
 
 
@@ -176,19 +180,98 @@ def test_knn_index_is_nearest_with_self_excluded(n, p, seed, data):
 @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 31 - 1),
        repeated=st.booleans(), data=st.data())
 def test_top_eigenpairs_is_eigh_reversed_and_sliced(n, seed, repeated, data):
+    # top_eigenpairs takes a symmetric matrix, as every Gram product is; the
+    # roundoff-asymmetric post-hoc sandwich is symmetrised by its caller
+    # (tests/test_estimation.py pins that path to its earlier bits)
     k = data.draw(st.integers(1, n))
     rng = np.random.default_rng(seed)
     if repeated:  # a low-rank PSD matrix: a repeated zero eigenvalue
         half = rng.integers(-2, 3, size=(n, max(1, n // 3))).astype(float)
         mat = half @ half.T
-    else:  # roundoff-asymmetric, as a product sandwich comes out
+    else:  # the weighted product mat @ diag(w) @ mat.T
         mat = rng.standard_normal((n, n))
-        mat = mat @ np.diag(rng.uniform(0.1, 2.0, n)) @ mat.T
+        mat = weighted_gram(mat.T, rng.uniform(0.1, 2.0, n))
+    assert np.array_equal(mat, mat.T)
     evals, evecs = top_eigenpairs(mat, k)
-    ref_vals, ref_vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    ref_vals, ref_vecs = np.linalg.eigh(mat)
     assert np.array_equal(evals, ref_vals[::-1][:k])
     assert np.array_equal(evecs, ref_vecs[:, ::-1][:, :k])
     assert evecs.flags.c_contiguous and evecs.shape == (n, k)
+
+
+def gram_context(kind, rng, data):
+    """A context of one kind: ``dense`` Dirichlet rows (tall or wide),
+    ``knn`` at k = 1 with the columns of points nobody picks dropped,
+    ``masked`` kNN or RBF, ``label`` or ``graph``."""
+    n = data.draw(st.integers(3, 60), label="n")
+    if kind == "dense":
+        m = data.draw(st.integers(2, 60), label="m")
+        return FiniteContext(rng.dirichlet(np.full(m, 0.5), size=n),
+                             DiscreteDistribution(rng.dirichlet(np.ones(n))))
+    if kind == "label":
+        labels = rng.integers(0, data.draw(st.integers(2, 6), label="classes"), n)
+        labels[:2] = (0, 1)
+        return build_label_context(labels)
+    if kind == "graph":
+        return random_graph_context(rng, n)
+    points = PointSet(rng.standard_normal((n, 3)))
+    if kind == "knn":
+        ctx = build_knn_context(points, 1)
+        assume(ctx.n_context < n)
+        return ctx
+    base = data.draw(st.sampled_from([("knn", 2), ("rbf", 1.0)]), label="base")
+    return build_masked_context(points, base, 0.34, 5, int(rng.integers(1000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["dense", "knn", "masked", "label", "graph"]),
+       d=st.integers(1, 6), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_weighted_gram_products_are_symmetric_bit_for_bit(kind, d, seed, data):
+    rng = np.random.default_rng(seed)
+    ctx = gram_context(kind, rng, data)
+    p = ctx.input_marginal.weights
+    enc = SampleEncoder(rng.standard_normal((ctx.n_inputs, d)), "input",
+                        ctx.input_marginal)
+    exact = estimate_covariances(enc, ctx)
+    sampled = estimate_covariances(enc, ctx, "pair_sampled", 50, seed=seed)
+    # the multi-view losses read h = T^T diag(p) T as their second argument
+    h = _population_loss(ObjectiveKind.MULTIVIEW_CONTRASTIVE, ctx, None).args[1]
+    products = {"dual_kernel": dual_kernel(ctx),
+                "positive_pair_kernel": positive_pair_kernel(ctx),
+                "weighted_cov": weighted_cov(enc.values, p),
+                "exact c_phi": exact.c_phi, "exact b_phi": exact.b_phi,
+                "pair_sampled c_phi": sampled.c_phi, "h": h}
+    for name, mat in products.items():
+        assert np.array_equal(mat, mat.T), name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_caller_hands_top_eigenpairs_an_asymmetric_matrix(seed, monkeypatch):
+    calls = []
+
+    def symmetric_only(mat, k):
+        assert np.array_equal(mat, mat.T)
+        calls.append(mat.shape[0])
+        return top_eigenpairs(mat, k)
+
+    bound = [name for name, mod in vars(contexture).items()
+             if getattr(mod, "top_eigenpairs", None) is top_eigenpairs]
+    assert {"spectral", "estimation", "objectives"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(getattr(contexture, name), "top_eigenpairs",
+                            symmetric_only)
+    verify_theorems(24, 20, 1, seed)
+    assert calls
+    rng = np.random.default_rng(seed)
+    ctx = build_rbf_context(PointSet(rng.standard_normal((300, 3))), 1.0)
+    calls.clear()
+    contexture_svd(ctx, rank=65)  # 65 <= 300 // 4: tries the Gram route
+    assert calls == [300]
+    enc = SampleEncoder(rng.standard_normal((300, 8)), "input",
+                        ctx.input_marginal)
+    calls.clear()
+    estimate_spectrum_posthoc(enc, estimate_covariances(enc, ctx), 4)
+    assert calls == [8]
 
 
 @pytest.mark.parametrize("k", [0, -1, 6])
