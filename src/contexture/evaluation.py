@@ -253,7 +253,10 @@ def decay_rate(singular_values) -> float:
     runs until the midpoint rounds to an endpoint, so the rate moves by
     only a few ulp when the values do, and a flat spectrum fits 0 exactly.
     """
-    y = np.asarray(singular_values, dtype=float) ** 2
+    s = np.asarray(singular_values, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("singular values must be finite")
+    y = s ** 2
     if np.count_nonzero(y > 1e-12) < 3:
         raise ValueError("need at least 3 nontrivial singular values above 1e-12")
     idx = np.arange(1, y.size + 1, dtype=float)
@@ -278,13 +281,7 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
     sample is a deterministic index stride of at least 2 points).
 
     The kernel must be a finite n x n matrix, with n the number of points
-    and of marginal weights. The maximum is found by a screened scan. Point
-    pairs whose rigorous upper bound (from each column's range, then from
-    exact int16 codes of the kernel) falls below a lower bound on the
-    maximum are skipped. Every other pair's quotient is computed in float64
-    with the same subtraction, absolute value, maximum and division as an
-    unscreened scan, and a maximum does not depend on the order it is taken
-    in, so the result is the same float.
+    and of marginal weights. The screened maximum equals an unscreened one.
     """
     kernel = np.asarray(kernel, dtype=float)
     n = len(marginal)
@@ -326,10 +323,13 @@ def _lipschitz_scan(cols: np.ndarray, pts: np.ndarray) -> float:
     """Largest ``max|cols[a] - cols[b]| / |pts[a] - pts[b]|`` over distinct
     point pairs, each quotient computed as ``gap / dist`` in float64.
 
-    The answer is a maximum, so a pair needs no float64 pass once a rigorous
-    upper bound on its quotient is below a lower bound on the maximum.
-    Rounding is monotone, so a bound put through it stays on its side, and
-    a bound or gap that overflows is inf, which is still on its side.
+    One pass over the anchor rows keeps the largest quotient computed so
+    far and the floor, the largest lower bound so far. The answer is a
+    maximum, the same in any order, so a pair needs no float64 pass once a
+    rigorous upper bound on its quotient is below the floor or at most that
+    quotient; the rest of a row's pairs are computed at once. Rounding is
+    monotone, so a bound put through it stays on its side, and a bound or
+    gap that overflows is inf, which is still on its side.
 
     Each anchor row a is screened against its later distinct points. The
     range bound ``max(hi_a - lo_b, hi_b - lo_a) / dist``, with hi and lo a
@@ -344,71 +344,39 @@ def _lipschitz_scan(cols: np.ndarray, pts: np.ndarray) -> float:
     ``(g + c) * step / dist`` is at or above the computed quotient and
     ``(g - c) * step / dist`` at or below it. This needs step to be finite
     and normal (at least 2^-1022; a subnormal step is rounded too coarsely
-    to keep the codes below 32768). Otherwise every pair the range bound
-    keeps gets upper bound inf.
-
-    The floor is the largest lower bound. Rows whose largest upper bound
-    reaches it and exceeds the seed (each point against its nearest
-    distinct neighbour) have their bounds recomputed, and their pairs that
-    still qualify are computed in float64.
+    to keep the codes below 32768). Otherwise only the range bound screens.
     """
-    size = len(cols)
     dists = sq_dists(pts, pts)
-    np.sqrt(dists, out=dists)
-    distinct = dists > 0
-    if not distinct.any():
+    np.sqrt(dists, out=dists)  # the points are finite: only 0 is coincident
+    if not dists.any():
         raise ValueError("all sampled points coincide; Lipschitz estimate undefined")
-    # the seed pass and the coding run over blocks of this many rows, so
-    # their temporaries stay far below n x n
-    block = 64
-    # seed: each point against its nearest distinct neighbour, exactly
-    seed = 0.0
-    for start in range(0, size, block):
-        rows = start + np.flatnonzero(distinct[start:start + block].any(axis=1))
-        if not len(rows):
-            continue
-        near = np.argmin(np.where(distinct[rows], dists[rows], np.inf), axis=1)
-        diff = cols[rows]
-        diff -= cols[near]
-        seed = max(seed, float(np.max(np.max(np.abs(diff, out=diff), axis=1)
-                                      / dists[rows, near])))
     hi, lo = cols.max(axis=1), cols.min(axis=1)
     base = lo.min()
     step = (hi.max() - base) / 32767
     screened = np.finfo(float).tiny <= step < np.inf
     if screened:
+        block = 64  # rows coded at once: the temporaries stay far below n x n
         codes = np.empty(cols.shape, dtype=np.int16)
-        for start in range(0, size, block):
+        for start in range(0, len(cols), block):
             scaled = cols[start:start + block] - base
             scaled /= step
             np.rint(scaled, out=codes[start:start + block], casting="unsafe")
         buf = np.empty_like(codes)
     slack = 1.0 + 2.0 ** -20
-
-    def bounds(a):
-        """Later distinct points of row a that pass the range bound, their
-        distances, and upper and lower bounds on their quotients."""
-        b = a + 1 + np.flatnonzero(distinct[a, a + 1:])
+    best = floor = 0.0
+    for a in range(len(cols) - 1):
+        b = a + 1 + np.flatnonzero(dists[a, a + 1:])
         d = dists[a, b]
-        keep = np.maximum(hi[a] - lo[b], hi[b] - lo[a]) / d > seed
-        b, d = b[keep], d[keep]
-        if not (screened and len(b)):
-            return b, d, np.full(len(b), np.inf), np.zeros(len(b))
-        g = _gaps(codes, a, b, buf)
-        return b, d, (g + slack) * step / d, (g - slack) * step / d
-
-    row_upper = np.zeros(size)
-    floor = seed
-    for a in range(size - 1):
-        b, _, upper, lower = bounds(a)
-        if len(b):
-            row_upper[a] = upper.max()
-            floor = max(floor, float(lower.max()))
-    best = seed
-    for a in np.flatnonzero((row_upper >= floor) & (row_upper > seed)):
-        b, d, upper, _ = bounds(a)
-        keep = (upper >= floor) & (upper > seed)
-        best = max(best, float(np.max(_gaps(cols, a, b[keep]) / d[keep])))
+        upper = np.maximum(hi[a] - lo[b], hi[b] - lo[a]) / d
+        if screened:
+            keep = (upper >= floor) & (upper > best)
+            b, d = b[keep], d[keep]
+            g = _gaps(codes, a, b, buf)
+            floor = float(np.max((g - slack) * step / d, initial=floor))
+            upper = (g + slack) * step / d
+        keep = (upper >= floor) & (upper > best)
+        if keep.any():
+            best = max(best, float(np.max(_gaps(cols, a, b[keep]) / d[keep])))
     return best
 
 
@@ -582,6 +550,8 @@ def correlation_stats(a, b):
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size or a.size < 3:
         raise ValueError("need two equal-length vectors with at least 3 entries")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("correlation inputs must be finite")
     sa, sb = a.std(), b.std()
     if sa == 0 or sb == 0:
         raise ValueError("zero variance; Pearson correlation undefined")

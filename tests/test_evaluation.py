@@ -266,6 +266,12 @@ class TestDecayRate:
         with pytest.raises(ValueError):
             decay_rate(np.array([0.5, 0.1, 1e-9]))
 
+    # a NaN fitted the bracket's top, 50.0, and an inf its bottom, 0.0
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="singular values must be finite"):
+            decay_rate(np.array([bad, 0.5, 0.4, 0.3]))
+
     # 9 is the largest integer rate whose third squared value, e^-27, stays
     # above the 1e-12 floor
     @pytest.mark.parametrize("rate", [1e-3, 0.1, 0.5, 1.3, 3.0, 9.0])
@@ -379,9 +385,9 @@ class TestAssociationMeasures:
 
     def test_report_holds_few_square_arrays(self):
         # the kernel K, its transposed copy and the distances, with int16
-        # codes and a bool mask: 3.75 arrays of n x n doubles traced at
-        # n = 400 (numpy 2.4); whole-matrix temporaries for |K - 1|, the
-        # seed pass and the coding took it to 5.45
+        # codes: 3.59 arrays of n x n doubles traced at n = 400 (numpy
+        # 2.4); whole-matrix temporaries for |K - 1|, the coding and a
+        # nearest-neighbour pass the scan no longer makes took it to 5.45
         n = 400
         pts = PointSet(np.random.default_rng(6).standard_normal((n, 3)))
         ctx = build_rbf_context(pts, 0.5)
@@ -788,6 +794,14 @@ class TestCorrelationStats:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             correlation_stats(np.ones(5), np.arange(5.0))
+
+    # a NaN entry gave (nan, nan) rather than an error
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            correlation_stats([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            correlation_stats([1.0, 2.0, 3.0], [1.0, bad, 3.0])
 
 
 class TestUsefulnessReportSerialization:

@@ -502,8 +502,13 @@ def test_lipschitz_at_the_integer_screen_boundaries(case, seed):
 
 @np.errstate(over="ignore")
 def whole_matrix_lipschitz_scan(cols, pts):
-    """The screened scan with its seed pass and int16 coding each taken
-    over the whole matrix at once, as whole-matrix temporaries."""
+    """The earlier two-pass screened scan, kept as the reference. A seed
+    pass takes each point against its nearest distinct neighbour; a first
+    pass keeps each row's largest upper bound and raises the floor to the
+    largest lower bound; a second pass recomputes the bounds of the rows
+    that reach the floor and computes their qualifying pairs in float64.
+    The seed pass and the int16 coding are each taken over the whole
+    matrix at once, as whole-matrix temporaries."""
     size = len(cols)
     dists = np.sqrt(sq_dists(pts, pts))
     distinct = dists > 0
@@ -546,38 +551,46 @@ def whole_matrix_lipschitz_scan(cols, pts):
     return best
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["tall", "wide", "duplicates", "disconnected",
-                             "mixed", "sparse"]),
-       n=st.integers(3, 200), strided=st.booleans(),
-       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
-def test_association_measures_equal_whole_matrix_passes(kind, n, strided, seed,
-                                                        data):
-    # the deviation with |K - 1| taken in place, and the scan's seed pass
-    # and coding run in row blocks, give the same floats; sizes up to 200
-    # cross several row blocks. Dual kernels of contexts (tall, wide,
-    # duplicate points, a disconnected kNN graph) usually peak at the seed
-    # pair; random kernels lean on the integer screen
-    rng = np.random.default_rng(seed)
+def association_test_case(kind, n, rng, data):
+    """Points, a kernel and a marginal of one of the association tests'
+    kinds: dual kernels of contexts (tall, wide, duplicate points, a
+    disconnected kNN graph), which usually peak at a nearest-neighbour
+    pair, and random kernels, which lean on the integer screen."""
     if kind in ("mixed", "sparse"):
         pts = grid_points(rng, n, 2, levels=6)
         kernel = screen_test_kernel(rng, kind, pts)
-        marginal = DiscreteDistribution(rng.dirichlet(np.ones(n)))
+        return pts, kernel, DiscreteDistribution(rng.dirichlet(np.ones(n)))
+    if kind in ("tall", "wide"):
+        m = n + data.draw(st.integers(1, 40)) if kind == "wide" else max(2, n // 3)
+        pts = rng.standard_normal((n, 2))
+        ctx = FiniteContext(rng.dirichlet(np.full(m, 0.3), size=n),
+                            DiscreteDistribution(rng.dirichlet(np.ones(n))))
+    elif kind == "duplicates":
+        pts = grid_points(rng, n, 2, levels=5)
+        ctx = (build_knn_context(PointSet(pts), min(4, n - 1))
+               if data.draw(st.booleans()) else build_rbf_context(PointSet(pts), 1.0))
     else:
-        if kind in ("tall", "wide"):
-            m = n + data.draw(st.integers(1, 40)) if kind == "wide" else max(2, n // 3)
-            pts = rng.standard_normal((n, 2))
-            ctx = FiniteContext(rng.dirichlet(np.full(m, 0.3), size=n),
-                                DiscreteDistribution(rng.dirichlet(np.ones(n))))
-        elif kind == "duplicates":
-            pts = grid_points(rng, n, 2, levels=5)
-            ctx = (build_knn_context(PointSet(pts), min(4, n - 1))
-                   if data.draw(st.booleans()) else build_rbf_context(PointSet(pts), 1.0))
-        else:
-            pts = rng.standard_normal((n, 2))
-            pts[: n // 2] += 1e3
-            ctx = build_knn_context(PointSet(pts), min(3, n - 1))
-        kernel, marginal = dual_kernel(ctx), ctx.input_marginal
+        pts = rng.standard_normal((n, 2))
+        pts[: n // 2] += 1e3
+        ctx = build_knn_context(PointSet(pts), min(3, n - 1))
+    return pts, dual_kernel(ctx), ctx.input_marginal
+
+
+ASSOCIATION_KINDS = ["tall", "wide", "duplicates", "disconnected", "mixed",
+                     "sparse"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(ASSOCIATION_KINDS), n=st.integers(3, 200),
+       strided=st.booleans(), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_association_measures_equal_whole_matrix_passes(kind, n, strided, seed,
+                                                        data):
+    # the deviation with |K - 1| taken in place, and the one-pass scan with
+    # its coding in row blocks, give the same floats as whole-matrix
+    # temporaries and the two-pass reference; sizes up to 200 cross
+    # several row blocks
+    rng = np.random.default_rng(seed)
+    pts, kernel, marginal = association_test_case(kind, n, rng, data)
     sample = data.draw(st.integers(2, n)) if strided else n
     idx = np.unique(np.round(np.linspace(0, n - 1, sample)).astype(int))
     if not (sq_dists(pts[idx], pts[idx]) > 0).any():
@@ -587,6 +600,59 @@ def test_association_measures_equal_whole_matrix_passes(kind, n, strided, seed,
                 whole_matrix_lipschitz_scan(kernel.T[np.ix_(idx, idx)], pts[idx]))
     assert kernel_association_measures(kernel, PointSet(pts), marginal,
                                        sample) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(ASSOCIATION_KINDS), n=st.integers(3, 200),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_lipschitz_is_unchanged_by_permuting_the_points(kind, n, seed, data):
+    # the scan visits the anchor rows in order, with a running floor, so
+    # a reordering changes which pairs it skips but not the maximum
+    rng = np.random.default_rng(seed)
+    pts, kernel, marginal = association_test_case(kind, n, rng, data)
+    assume((sq_dists(pts, pts) > 0).any())
+    perm = data.draw(st.permutations(range(n)))
+    expected = kernel_association_measures(kernel, PointSet(pts), marginal, n)[1]
+    got = kernel_association_measures(
+        kernel[np.ix_(perm, perm)], PointSet(pts[perm]),
+        DiscreteDistribution(marginal.weights[perm]), n)[1]
+    assert got == expected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lipschitz_finds_a_steepest_pair_in_the_last_anchor_row(seed):
+    # points on a line; every kernel column is flat noise except the last,
+    # which stands 1 above the rest, so the steepest pair is the last two
+    # points (quotient about 1), and row a's steepest pair, about
+    # 1 / (n - 1 - a), leaves the floor at most about 1/2 until the last
+    # anchor row
+    rng = np.random.default_rng(seed)
+    n = 3 * GAP_BLOCK + 1
+    pts = np.arange(n, dtype=float)[:, None]
+    cols = 1e-3 * rng.random((n, n))
+    cols[-1] += 1.0
+    kernel = cols.T.copy()
+    got = kernel_association_measures(kernel, PointSet(pts),
+                                      DiscreteDistribution.uniform(n), n)[1]
+    assert got == float(np.max(np.abs(cols[-1] - cols[-2])))
+    assert got == whole_matrix_lipschitz_scan(cols, pts)
+    assert got == per_row_lipschitz(kernel, pts, n)
+
+
+def test_lipschitz_floor_rises_by_lower_bounds_only():
+    # entries from 0 to 32767 code exactly with step 1. Anchor 0's pairs
+    # have gaps 100 at distance 1 and 201 at distance 2: the second is the
+    # steeper (100.5 against 100) but has the smaller upper bound
+    # (101 + 2^-21 against 101 + 2^-20), so a floor raised by an upper
+    # bound would skip it, and the third pair (301 at distance 3) does not
+    # reach it
+    pts = np.array([[0.0], [1.0], [-2.0]])
+    cols = np.full((3, 3), 32767.0)
+    cols[:, 0] = 201.0, 301.0, 0.0
+    kernel = cols.T.copy()
+    got = kernel_association_measures(kernel, PointSet(pts),
+                                      DiscreteDistribution.uniform(3), 3)[1]
+    assert got == 100.5 == per_row_lipschitz(kernel, pts, 3)
 
 
 @settings(max_examples=30, deadline=None)
