@@ -183,11 +183,18 @@ def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
 
     Under the indicator kernel only the identity of a row matters, so rows
     become the one-hot code of their class, whose Gram matrix is that
-    kernel.
+    kernel. Every solver and loss reads its inputs through here, so this
+    also rejects aux for a kind without a loss kernel, and a node
+    embedding of a non-square context.
     """
+    if objective is ObjectiveKind.NODE_EMBEDDING and ctx.n_inputs != ctx.n_context:
+        raise ValueError("node_embedding needs a square context, a graph on "
+                         f"one support; got {ctx.n_inputs} x {ctx.n_context}")
     if aux is None:
         return None
     form = _FORMS[objective]
+    if form.kernel is None:
+        raise ValueError(f"{objective.value} has no loss kernel and takes no aux")
     size = len(form.marginals(ctx)[1])
     aux = np.asarray(aux, dtype=float)
     if aux.ndim == 1:
@@ -218,6 +225,7 @@ def solve_spectral(objective, ctx: FiniteContext, d: int,
     form = _FORMS[objective]
     marginal = form.marginals(ctx)[0]
     if form.kernel is None:
+        _resolve_aux(objective, ctx, aux)
         full = min(ctx.n_inputs, ctx.n_context)
         if d + 1 > full:
             raise ValueError(f"d={d} exceeds the nontrivial rank {full - 1}")
@@ -266,6 +274,7 @@ def operator_eigenvalues(objective, ctx: FiniteContext,
     """
     objective = ObjectiveKind(objective)
     if _FORMS[objective].kernel is None:
+        _resolve_aux(objective, ctx, aux)
         return contexture_svd(ctx).nontrivial_values
     return np.linalg.eigvalsh(_sandwiched_operator(objective, ctx, aux))[::-1]
 
@@ -370,8 +379,9 @@ def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
     objective, both from one evaluation; the matrices it reads are built
     once, here."""
     form = _FORMS[objective]
+    vectors = _resolve_aux(objective, ctx, aux)
     if form.kernel is not None or objective is ObjectiveKind.SUPERVISED_BALANCED:
-        ls = _least_squares_form(objective, ctx, _resolve_aux(objective, ctx, aux))
+        ls = _least_squares_form(objective, ctx, vectors)
         return partial(_ls_value_and_grad, ls)
     p = ctx.input_marginal.weights
     if objective is ObjectiveKind.NODE_EMBEDDING:
@@ -406,9 +416,10 @@ def eval_objective(objective, ctx: FiniteContext, enc: SampleEncoder,
     form = _FORMS[objective]
     if enc.support != form.support:
         raise ValueError(f"{objective.value} expects a {form.support}-support encoder")
+    loss = _population_loss(objective, ctx, aux)
     if form.constrained:
         _check_unit_covariance(enc.values, form.marginals(ctx)[0].weights, objective)
-    return _population_loss(objective, ctx, aux)(enc.values)[0]
+    return loss(enc.values)[0]
 
 
 def solve_variational(objective, ctx: FiniteContext, d: int,
@@ -425,6 +436,8 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     exact whitening after every step.
     """
     objective = ObjectiveKind(objective)
+    if d < 1:
+        raise ValueError("d must be at least 1")
     opts = opts or VariationalOptions()
     if opts.steps < 1:
         raise ValueError("steps must be at least 1")

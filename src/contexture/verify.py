@@ -31,8 +31,6 @@ from .spectral import (adjoint_matrix, contexture_svd, dual_kernel,
 # ``nondegenerate_context``: required relative spectral gap, and draws
 MIN_GAP = 0.03
 TRIES = 200
-# points of the brute-force grid in ``worstcase_residuals``
-WORSTCASE_GRID = 20001
 # ``random_graph_context``: self-loop weight per unit of off-diagonal degree
 DIAGONAL_BOOST = 1.0
 # ``random_invertible``: singular values are drawn uniformly from [1, COND_CAP)
@@ -157,13 +155,41 @@ def equivalence_residuals(objective, rng, n, m, d):
     return span_residual, abs(val_v - val_s)
 
 
-def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
-    """Residuals for the worst-case error formula.
+def worst_compatible_task(spec, values: np.ndarray, eps: float,
+                          d: int) -> TaskFunction:
+    """Task of compatibility 1 - eps whose error on the d-column encoder
+    ``values`` is at least ``worst_case_err(spec, d, eps)``, and equal to it
+    at the top-d singular functions.
 
-    Returns (formula vs two-mode brute force, max shortfall of the
-    constructive witness against the formula over random encoders), on
-    a context with a top gap; raises after ``TRIES`` draws without one.
+    In coefficients on modes 1..d+1, g is the unit direction the centred
+    span misses (mode-1 coefficient >= 0) and rho its unit part off mode 1
+    (mode 2 if none). The task sqrt(1 - b) mode 1 + sqrt(b) rho has
+    compatibility exactly 1 - eps; for eps in the formula's range its
+    error, at least <task, g>^2, is at least b >= formula.
     """
+    if spec.rank < d + 2:
+        raise ValueError(f"the spectrum needs {d + 1} nontrivial modes")
+    p = spec.input_marginal.weights
+    top = spec.left_functions[:, 1:d + 2]  # modes 1..d+1, weighted-orthonormal
+    basis = orthonormal_basis(values, p, center=True)
+    g = np.linalg.svd(basis.T @ (p[:, None] * top))[2][-1]
+    rho = -g if g[0] < 0 else g
+    rho[0] = 0.0
+    if np.linalg.norm(rho) < 1e-9:
+        rho[1] = 1.0
+    rho /= np.linalg.norm(rho)
+    s_sq = spec.nontrivial_values[:d + 1] ** 2
+    b = np.clip((s_sq[0] - (1.0 - eps) ** 2) / (s_sq[0] - s_sq @ rho ** 2), 0, 1)
+    coeffs = np.sqrt(b) * rho
+    coeffs[0] = np.sqrt(1.0 - b)
+    return TaskFunction(top @ coeffs, spec.input_marginal)
+
+
+def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
+    """(|error - formula| at the top-d singular functions, largest shortfall
+    below the formula over random encoders), each on the encoder's
+    ``worst_compatible_task`` and plus its compatibility deficit, on a
+    context with a top gap; raises after ``TRIES`` draws without one."""
     for _ in range(TRIES):
         ctx = random_dense_context(rng, n, m, concentration=0.35)
         spec = contexture_svd(ctx)
@@ -178,48 +204,16 @@ def worstcase_residuals(rng, n, m, d=1, n_encoders=100):
     eps = 0.5 * (lo + hi)
     formula = worst_case_err(spec, d, eps)
 
-    # two-mode family: mass b on mode d+1, constrained to compatibility >= 1-eps
-    s_next = float(s[d])
-    b_grid = np.linspace(0.0, 1.0, WORSTCASE_GRID)
-    rho_sq = s1 ** 2 * (1 - b_grid) + s_next ** 2 * b_grid
-    feasible = b_grid[rho_sq >= (1.0 - eps) ** 2]
-    brute = float(np.max(feasible)) if feasible.size else 0.0
-    gap_formula = abs(formula - brute)
+    def shortfall(values):
+        task = worst_compatible_task(spec, values, eps, d)
+        err = approx_err(SampleEncoder(values, "input", ctx.input_marginal), task)
+        return formula - err, max(0.0, 1.0 - eps - compatibility(spec, task))
 
-    # every d-dim encoder admits a task at compatibility 1-eps with error
-    # at least the formula; build the witness and check the shortfall
-    p = ctx.input_marginal.weights
-    top = spec.left_functions[:, 1:d + 2]  # modes 1..d+1, weighted-orthonormal
-    worst_short = 0.0
-    for _ in range(n_encoders):
-        enc = SampleEncoder(rng.standard_normal((ctx.n_inputs, d)), "input",
-                            ctx.input_marginal)
-        basis = orthonormal_basis(enc.values, p, center=True)
-        cross = basis.T @ (p[:, None] * top)
-        _, _, vt = np.linalg.svd(cross)
-        c = vt[-1]
-        if c[0] < 0:
-            c = -c
-        f1 = top @ c
-        alpha1 = float(c[0])
-        alpha2 = float(np.sqrt(max(0.0, 1.0 - alpha1 ** 2)))
-        if alpha2 > 1e-9:
-            f2 = (top[:, 0] - alpha1 * f1) / alpha2
-        else:
-            fill = np.zeros(d + 1)
-            fill[1] = 1.0
-            f2 = top @ (fill - c * c[1])
-            f2 /= weighted_norm(f2, p)
-        f0 = alpha2 * f1 - alpha1 * f2
-        k = top.T @ (p * f0)
-        mass = float(np.sum((s[:d + 1] * k) ** 2))
-        beta2_sq = (s1 ** 2 - (1 - eps) ** 2) / (s1 ** 2 - mass)
-        beta2_sq = min(max(beta2_sq, 0.0), 1.0)
-        f_vals = np.sqrt(1 - beta2_sq) * top[:, 0] + np.sqrt(beta2_sq) * f0
-        task = TaskFunction(f_vals, ctx.input_marginal)
-        witness_err = approx_err(enc, task)
-        worst_short = max(worst_short, formula - witness_err)
-    return gap_formula, max(0.0, worst_short)
+    short, deficit = shortfall(spec.left_functions[:, 1:d + 1])
+    drawn = [shortfall(rng.standard_normal((ctx.n_inputs, d)))
+             for _ in range(n_encoders)]
+    lower = max((max(0.0, sh) + de for sh, de in drawn), default=0.0)
+    return abs(short) + deficit, lower
 
 
 def estimation_refinement_residual(rng, n_support=64, n_seeds=20):
@@ -397,7 +391,7 @@ def worstcase_checks(rng, n, m, trials) -> list[dict]:
     res_formula, res_lower = zip(*(
         worstcase_residuals(rng, min(n, 20), m, d=1, n_encoders=20)
         for _ in range(trials)))
-    return [_check("worstcase_two_mode_formula", res_formula, 1e-4),
+    return [_check("worstcase_two_mode_formula", res_formula, 1e-10),
             _check("worstcase_lower_bounds_encoders", res_lower, 1e-6)]
 
 

@@ -9,7 +9,7 @@ import pytest
 from contexture.cli import main
 from contexture.context import (DiscreteDistribution, PointSet,
                                 build_knn_context)
-from contexture.datasets import make_waves
+from contexture.datasets import make_rings, make_waves
 from contexture.harness import zscore_by_reference
 from contexture.objectives import SampleEncoder, save_encoder
 from contexture.spectral import contexture_svd, load_spectrum
@@ -125,6 +125,27 @@ def test_learn_variational_mode(tmp_path, waves_csv):
     assert rc == 0
     values = np.loadtxt(enc_path, delimiter=",")
     assert values.shape == (60,)
+
+
+def test_learn_zero_dimensions_is_usage_error(tmp_path, waves_csv, capsys):
+    # a constrained kind, which would whiten a 60 x 0 draw
+    rc = main(["learn", "--objective", "multiview_noncontrastive",
+               "--context", "knn:5", "--d", "0", "--mode", "variational",
+               "--input", str(waves_csv), "--target", "y",
+               "--out", str(tmp_path / "enc.csv")])
+    assert rc == 1
+    assert "d must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["spectral", "variational"])
+def test_learn_node_embedding_of_label_context_is_usage_error(tmp_path, capsys,
+                                                             mode):
+    rings = make_rings(tmp_path / "rings.csv", n=30)
+    rc = main(["learn", "--objective", "node_embedding", "--context", "label",
+               "--d", "1", "--mode", mode, "--input", str(rings),
+               "--target", "band", "--out", str(tmp_path / "enc.csv")])
+    assert rc == 1
+    assert "node_embedding needs a square context" in capsys.readouterr().err
 
 
 def test_learn_to_json_path_is_usage_error(tmp_path, waves_csv, capsys):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contexture import (DiscreteDistribution, FiniteContext, NumericalError,
                         PointSet, SampleEncoder, TaskFunction, approx_err,
@@ -18,7 +18,7 @@ from contexture._linalg import orthonormal_basis
 from contexture.context import build_label_context
 from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
 from contexture.spectral import ContextureSpectrum
-from contexture.verify import random_dense_context
+from contexture.verify import random_dense_context, worst_compatible_task
 
 
 def synthetic_spectrum(values, n=8, seed=0):
@@ -106,6 +106,42 @@ class TestWorstCaseErr:
             worst_case_err(spec, 1, 0.01)
         with pytest.raises(ValueError, match="upper bound"):
             worst_case_err(spec, 1, 0.9)
+
+
+class TestWorstCompatibleTask:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([1, 2, 3]),
+           n=st.integers(6, 12), m=st.integers(6, 12), t=st.floats(0.0, 1.0))
+    def test_witness_meets_the_bound_and_the_top_functions_attain_it(
+            self, seed, d, n, m, t):
+        rng = np.random.default_rng(seed)
+        spec = contexture_svd(random_dense_context(rng, n, m, 0.35))
+        s = spec.nontrivial_values
+        assume(s.size > d and s[0] - s[d] > 1e-3)
+        lo, hi = 1 - s[0], 1 - np.sqrt((s[0] ** 2 + s[1] ** 2) / 2)
+        eps = lo + t * (hi - lo)
+        formula = worst_case_err(spec, d, eps)
+
+        def err_and_compat(values):
+            task = worst_compatible_task(spec, values, eps, d)
+            enc = SampleEncoder(values, "input", spec.input_marginal)
+            return approx_err(enc, task), compatibility(spec, task)
+
+        err, compat = err_and_compat(spec.left_functions[:, 1:d + 1])
+        assert abs(err - formula) <= 1e-12
+        assert abs(compat - (1 - eps)) <= 1e-12
+        # modes 2..d+1 miss mode 1 itself: the witness falls back to mode 2
+        for values in [spec.left_functions[:, 2:d + 2],
+                       *rng.standard_normal((5, n, d))]:
+            err, compat = err_and_compat(values)
+            assert err >= formula - 1e-12
+            assert compat >= 1 - eps - 1e-12
+
+    def test_spectrum_needs_d_plus_one_modes(self):
+        spec = synthetic_spectrum([0.8, 0.5])
+        values = spec.left_functions[:, 1:3]
+        with pytest.raises(ValueError, match="needs 3 nontrivial modes"):
+            worst_compatible_task(spec, values, 0.25, 2)
 
 
 class TestApproxErr:

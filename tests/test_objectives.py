@@ -6,8 +6,9 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         SampleEncoder, VariationalOptions, average_encoder,
                         build_graph_context, build_label_context,
                         cca_alignment, contexture_svd, eval_objective,
-                        load_encoder, loss_kernel_matrix, save_encoder,
-                        solve_spectral, solve_variational)
+                        load_encoder, loss_kernel_matrix,
+                        operator_eigenvalues, save_encoder, solve_spectral,
+                        solve_variational)
 from contexture import objectives, verify
 from contexture._linalg import (fix_signs, principal_angle_cosines,
                                 weighted_cov, weighted_norm, whiten_columns)
@@ -514,7 +515,35 @@ CHANNEL = FiniteContext(np.array([[0.9, 0.1], [0.1, 0.9]]),
     (average_encoder, (CHANNEL, SampleEncoder(
         np.ones((3, 1)), "context", DiscreteDistribution.uniform(3))),
      ValueError, "rows must match the context support"),
+    # d = 0 is rejected before a draw, constrained kinds included
+    (solve_variational, ("multiview_noncontrastive", CHANNEL, 0),
+     ValueError, "d must be at least 1"),
+    (solve_variational, ("multiview_contrastive", CHANNEL, 0),
+     ValueError, "d must be at least 1"),
+    # aux only for kinds with a loss kernel
+    (solve_spectral, ("supervised_balanced", CHANNEL, 1, np.ones((2, 1))),
+     ValueError, "has no loss kernel"),
+    (operator_eigenvalues, ("multiview_contrastive", CHANNEL, np.ones((2, 1))),
+     ValueError, "has no loss kernel"),
+    (eval_objective, ("supervised_balanced", CHANNEL, SampleEncoder(
+        np.arange(2.0), "input", CHANNEL.input_marginal), np.ones((2, 1))),
+     ValueError, "has no loss kernel"),
+    (solve_variational, ("node_embedding", CHANNEL, 1, None, np.ones((2, 1))),
+     ValueError, "has no loss kernel"),
 ])
 def test_typed_input_errors(call, args, exc, match):
     with pytest.raises(exc, match=match):
         call(*args)
+
+
+def test_node_embedding_needs_a_square_context():
+    # three inputs, two classes: a tall label context, not a graph
+    ctx = build_label_context(np.array([0, 1, 1]))
+    enc = SampleEncoder(np.array([1.0, -1.0, 0.5]), "input", ctx.input_marginal)
+    for call in (lambda: solve_spectral("node_embedding", ctx, 1),
+                 lambda: solve_variational("node_embedding", ctx, 1),
+                 lambda: operator_eigenvalues("node_embedding", ctx),
+                 lambda: eval_objective("node_embedding", ctx, enc)):
+        with pytest.raises(ValueError, match="node_embedding needs a square "
+                                             "context.* 3 x 2"):
+            call()
