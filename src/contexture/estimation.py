@@ -31,6 +31,8 @@ class CovariancePair:
     n_pairs: int = 0
 
     def __post_init__(self):
+        if self.mode not in ("exact", "pair_sampled"):
+            raise ValueError("mode must be 'exact' or 'pair_sampled'")
         for name in ("c_phi", "b_phi"):
             mat = np.asarray(getattr(self, name), dtype=float)
             if np.max(np.abs(mat - mat.T)) > 1e-10:

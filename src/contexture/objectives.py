@@ -201,6 +201,8 @@ def _resolve_aux(objective: ObjectiveKind, ctx: FiniteContext,
         aux = aux[:, None]
     if aux.shape[0] != size:
         raise ValueError(f"aux must have {size} rows for {objective.value}")
+    if not np.all(np.isfinite(aux)):
+        raise ValueError("aux must be finite")
     if form.kernel is LossKernelKind.INDICATOR:
         codes = _row_codes(aux)
         return np.eye(codes.max() + 1)[codes]

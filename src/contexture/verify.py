@@ -31,8 +31,6 @@ from .spectral import (adjoint_matrix, contexture_svd, dual_kernel,
 # ``nondegenerate_context``: required relative spectral gap, and draws
 MIN_GAP = 0.03
 TRIES = 200
-# ``random_graph_context``: self-loop weight per unit of off-diagonal degree
-DIAGONAL_BOOST = 1.0
 # ``random_invertible``: singular values are drawn uniformly from [1, COND_CAP)
 COND_CAP = 4.0
 # eigenvalues compared by ``estimation_refinement_residual``
@@ -69,18 +67,17 @@ def random_doubly_stochastic_context(rng: np.random.Generator,
 
 
 def random_graph_context(rng: np.random.Generator, n: int) -> FiniteContext:
-    """Random kernel graph over latent coordinates, diagonally dominated.
+    """Random Gaussian-kernel graph over latent coordinates.
 
     The latent geometry gives the walk a smoothly decaying spectrum with
-    usable gaps, and the dominance keeps the transition operator positive
-    semidefinite so its eigenvalue order matches the singular-value order.
+    usable gaps. The kernel, unit diagonal kept, is positive semidefinite,
+    so the transition operator is too and its eigenvalue order is its
+    singular-value order. Every degree lies in [1, n], so the input
+    marginal's max/min spread is at most n.
     """
     latent = rng.standard_normal((n, 2)) * np.array([2.0, 0.7])
-    w = np.exp(-float(rng.uniform(0.3, 1.5)) * sq_dists(latent, latent))
-    np.fill_diagonal(w, 0.0)
-    off_degrees = w.sum(axis=1)
-    w += np.diag(DIAGONAL_BOOST * off_degrees)
-    return build_graph_context(w)
+    gamma = float(rng.uniform(0.3, 1.5))
+    return build_graph_context(np.exp(-gamma * sq_dists(latent, latent)))
 
 
 def random_invertible(rng: np.random.Generator, d: int) -> np.ndarray:

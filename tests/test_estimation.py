@@ -367,6 +367,9 @@ CHANNEL_ENC = SampleEncoder(np.array([1.0, -1.0]), "input",
 @pytest.mark.parametrize("call, args, exc, match", [
     (CovariancePair, (np.array([[1.0, 0.0], [1.0, 1.0]]), np.eye(2), "exact"),
      ValueError, "c_phi must be symmetric"),
+    # an unknown mode would skip the exact mode's PSD-order check
+    (CovariancePair, (np.eye(2), 2 * np.eye(2), "exactt"),
+     ValueError, "mode must be 'exact' or 'pair_sampled'"),
     (estimate_covariances, (CHANNEL_ENC, CHANNEL, "sampled"),
      ValueError, "mode must be 'exact' or 'pair_sampled'"),
     (estimate_covariances, (SampleEncoder(np.array([1.0, -1.0]), "context",

@@ -13,7 +13,8 @@ from contexture import (ExperimentConfig, NumericalError, contexture_svd,
 from contexture.datasets import make_planted, make_waves
 from contexture.harness import (default_context_grid, extend_encoder,
                                 zscore_by_reference)
-from contexture.verify import random_dense_context
+from contexture.evaluation import ProbeResult
+from contexture.verify import random_dense_context, random_graph_context
 
 
 def write_csv(path, header, rows):
@@ -298,6 +299,32 @@ class TestVerifyTheorems:
                 report = verify_theorems(n=n, m=m, trials=1, seed=0)
             assert [c["name"] for c in report["checks"]] == names
 
+    # small draws whose node-embedding checks need the graph's marginal
+    # spread bounded (by n); the 4-row sizes raise the expected
+    # singular-fit warning of approx_err
+    @pytest.mark.parametrize("n, m, seed", [
+        (4, 4, 1), (4, 4, 2), (4, 4, 13), (4, 80, 1), (4, 80, 3), (8, 8, 9)])
+    def test_small_node_embedding_draws_pass(self, n, m, seed):
+        expected = (pytest.warns(RuntimeWarning, match="singular normal "
+                                 "equations") if n == 4
+                    else contextlib.nullcontext())
+        with expected:
+            report = verify_theorems(n=n, m=m, trials=3, seed=seed)
+        assert report["all_passed"], [c["name"] for c in report["checks"]
+                                      if not c["passed"]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 80), seed=st.integers(0, 2**32 - 1))
+    def test_random_graph_is_psd_with_bounded_marginal_spread(self, n, seed):
+        ctx = random_graph_context(np.random.default_rng(seed), n)
+        p = ctx.input_marginal.weights
+        # every degree of the unit-diagonal kernel lies in [1, n]
+        assert p.max() / p.min() <= n
+        # T is self-adjoint under p, so this similar matrix is symmetric
+        root = np.sqrt(p)
+        sym = root[:, None] * ctx.conditional / root[None, :]
+        assert np.linalg.eigvalsh(0.5 * (sym + sym.T))[0] >= -1e-12
+
 
 class TestRunExperiment:
     def test_sweep_on_planted_dataset(self, tmp_path):
@@ -364,6 +391,28 @@ class TestRunExperiment:
              f"{grid[3]} has 80 inputs, not the 42 pretrain rows")]
         assert [e["descriptor"] for e in report["per_context"]] == [
             "rbf:0.5", grid[2], "knn:3"]
+
+    def test_equal_errors_leave_the_correlations_undefined(self, tmp_path,
+                                                            monkeypatch):
+        import contexture.harness as harness_mod
+
+        def constant_probe(train, test, ridge_grid, seed=0):
+            return ProbeResult(weights=np.zeros(1), bias=0.0,
+                               ridge_penalty=ridge_grid[0], train_mse=0.5,
+                               test_mse=0.5)
+
+        monkeypatch.setattr(harness_mod, "fit_linear_probe", constant_probe)
+        path = tmp_path / "waves.csv"
+        make_waves(path, n=60)
+        cfg = ExperimentConfig(
+            dataset_path=str(path), target_column="y",
+            context_grid=["rbf:0.5", "rbf:1.0", "knn:3"], ridge_grid=[1e-3],
+            d_grid=[1, 2], d0=8, seed=0)
+        summary = run_experiment(cfg)["summary"]
+        assert summary["n_correlated"] == 3
+        assert summary["pearson"] is None
+        assert summary["distance_corr"] is None
+        assert "zero variance" in summary["degenerate"]
 
     def test_resource_errors_propagate(self, tmp_path, monkeypatch):
         import contexture.harness as harness_mod

@@ -530,6 +530,17 @@ CHANNEL = FiniteContext(np.array([[0.9, 0.1], [0.1, 0.9]]),
      ValueError, "has no loss kernel"),
     (solve_variational, ("node_embedding", CHANNEL, 1, None, np.ones((2, 1))),
      ValueError, "has no loss kernel"),
+    # non-finite aux
+    (solve_spectral, ("regression_unbiased", CHANNEL, 1, [[np.nan], [1.0]]),
+     ValueError, "aux must be finite"),
+    (operator_eigenvalues, ("regression_unbiased", CHANNEL, [[np.nan], [1.0]]),
+     ValueError, "aux must be finite"),
+    (eval_objective, ("regression_unbiased", CHANNEL, SampleEncoder(
+        np.arange(2.0), "input", CHANNEL.input_marginal), [[np.inf], [1.0]]),
+     ValueError, "aux must be finite"),
+    (solve_variational, ("regression_unbiased", CHANNEL, 1, None,
+                         [[np.inf], [1.0]]),
+     ValueError, "aux must be finite"),
 ])
 def test_typed_input_errors(call, args, exc, match):
     with pytest.raises(exc, match=match):
