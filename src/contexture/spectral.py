@@ -12,6 +12,7 @@ functions are the target every objective in
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -62,23 +63,30 @@ class ContextureSpectrum:
         return self.singular_values[1:]
 
     def to_json_dict(self) -> dict:
+        """The saved form: ``singular_values``, ``p_x`` and ``p_a`` as JSON
+        lists, ``left`` and ``right`` packed by ``_pack_matrix``. Their
+        shapes are implied by the lengths of ``p_x``, ``p_a`` and
+        ``singular_values``."""
         return {
             "singular_values": self.singular_values.tolist(),
-            "left": self.left_functions.tolist(),
-            "right": self.right_functions.tolist(),
+            "left": _pack_matrix(self.left_functions),
+            "right": _pack_matrix(self.right_functions),
             "p_x": self.input_marginal.weights.tolist(),
             "p_a": self.context_marginal.weights.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContextureSpectrum":
-        """Inverse of ``to_json_dict``; raises ValueError unless every entry
-        is finite and ``left``/``right`` hold one column per value."""
-        values, left, right = (np.asarray(data[key], dtype=float)
-                               for key in ("singular_values", "left", "right"))
+        """Inverse of ``to_json_dict``, which also reads ``left``/``right``
+        as nested lists, the form written before they were packed. Raises
+        ValueError unless every entry is finite and ``left``/``right`` hold
+        one column per value."""
+        values = np.asarray(data["singular_values"], dtype=float)
         p_x = DiscreteDistribution.from_saved(data["p_x"])
         p_a = DiscreteDistribution.from_saved(data["p_a"])
         r = values.size
+        left = _unpack_matrix(data, "left", (len(p_x), r))
+        right = _unpack_matrix(data, "right", (len(p_a), r))
         if (values.ndim != 1 or left.shape != (len(p_x), r)
                 or right.shape != (len(p_a), r)):
             raise ValueError(
@@ -88,6 +96,39 @@ class ContextureSpectrum:
         if not all(np.isfinite(arr).all() for arr in (values, left, right)):
             raise ValueError("spectrum entries must be finite")
         return cls(values, left, right, p_x, p_a)
+
+
+def _pack_matrix(matrix: np.ndarray) -> str:
+    """Base64 text of the matrix's C-ordered little-endian float64 bytes:
+    every value kept bit for bit, with no decimal conversion."""
+    raw = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _unpack_matrix(data: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of ``_pack_matrix`` for ``data[key]``, a matrix of ``shape``;
+    a nested list is read as it stands and its shape is left to the caller.
+    Raises ValueError naming ``key`` for text that is not base64 of exactly
+    that many float64 values, and for any other JSON type."""
+    field = data[key]
+    if isinstance(field, list):
+        try:
+            return np.asarray(field, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"spectrum field {key!r} is not a matrix of "
+                             f"numbers: {exc}") from None
+    if not isinstance(field, str):
+        raise ValueError(f"spectrum field {key!r} must be base64 text or a "
+                         f"nested list, got {type(field).__name__}")
+    try:
+        raw = base64.b64decode(field, validate=True)
+    except ValueError as exc:  # binascii.Error is a ValueError
+        raise ValueError(f"spectrum field {key!r} is not base64: {exc}") from None
+    need = 8 * shape[0] * shape[1]
+    if len(raw) != need:
+        raise ValueError(f"spectrum field {key!r} holds {len(raw)} bytes; "
+                         f"float64 values of shape {shape} need {need}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
 def adjoint_matrix(ctx: FiniteContext) -> np.ndarray:
@@ -265,6 +306,11 @@ def reconstruct_joint(spec: ContextureSpectrum) -> np.ndarray:
 
 
 def save_spectrum(spec: ContextureSpectrum, path) -> None:
+    """Write ``spec.to_json_dict()`` to ``path`` as one line of JSON.
+
+    Every value is kept bit for bit: the lists through float repr, the
+    packed ``left`` and ``right`` as their float64 bytes.
+    """
     # json.dumps runs the C encoder; json.dump writes the same bytes through
     # the pure-Python one
     with open(path, "w") as fh:
@@ -273,5 +319,7 @@ def save_spectrum(spec: ContextureSpectrum, path) -> None:
 
 
 def load_spectrum(path) -> ContextureSpectrum:
+    """Read a spectrum written by ``save_spectrum``, or an older file with
+    ``left`` and ``right`` as nested lists; see ``from_json_dict``."""
     with open(path) as fh:
         return ContextureSpectrum.from_json_dict(json.load(fh))

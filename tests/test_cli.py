@@ -2,6 +2,7 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from contexture.cli import main
 from contexture.context import (DiscreteDistribution, PointSet,
                                 build_knn_context)
 from contexture.datasets import make_rings, make_waves
+from contexture.evaluation import usefulness_metric
 from contexture.harness import zscore_by_reference
 from contexture.objectives import SampleEncoder, save_encoder
 from contexture.spectral import contexture_svd, load_spectrum
@@ -91,6 +93,29 @@ def test_metric_rejects_a_malformed_spectrum(tmp_path, waves_csv, capsys, corrup
     assert main(["metric", "--spectrum", str(spec_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "usage error" in captured.err
+
+
+@pytest.mark.parametrize("field", ["left", "right"])
+def test_metric_rejects_a_short_packed_matrix(tmp_path, waves_csv, capsys, field):
+    spec_path = tmp_path / "spec.json"
+    assert main(["spectrum", "--context", "rbf:0.5", "--input", str(waves_csv),
+                 "--target", "y", "--top", "3", "--out", str(spec_path)]) == 0
+    data = json.loads(spec_path.read_text())
+    data[field] = data[field][:-12]  # 9 bytes, one float64 and a byte short
+    spec_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["metric", "--spectrum", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(field) in captured.err
+
+
+def test_metric_reads_a_list_format_spectrum(capsys):
+    # left/right as nested lists, the form written before they were packed
+    path = Path(__file__).parent / "data" / "spectrum-list-format.json"
+    assert main(["metric", "--spectrum", str(path), "--d0", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    values = np.array(json.loads(path.read_text())["singular_values"])
+    assert payload["tau"] == usefulness_metric(values[1:], d0=2, beta=1.0).tau
 
 
 def test_learn_and_evaluate(tmp_path, waves_csv, capsys):

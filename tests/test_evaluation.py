@@ -14,9 +14,12 @@ from contexture import (DiscreteDistribution, FiniteContext, NumericalError,
                         kernel_association_measures, make_usefulness_report,
                         mutual_knn, ratio_trace, trace_gap_bound,
                         usefulness_metric, worst_case_err)
+from contexture import evaluation
 from contexture._linalg import orthonormal_basis
-from contexture.context import build_label_context
+from contexture.context import build_from_descriptor, build_label_context
+from contexture.datasets import make_waves
 from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
+from contexture.harness import load_dataset, zscore_by_reference
 from contexture.spectral import ContextureSpectrum
 from contexture.verify import random_dense_context, worst_compatible_task
 
@@ -420,10 +423,10 @@ class TestAssociationMeasures:
         assert np.isfinite(rep.tau)
 
     def test_report_holds_few_square_arrays(self):
-        # the kernel K, its transposed copy and the distances, with int16
-        # codes: 3.59 arrays of n x n doubles traced at n = 400 (numpy
-        # 2.4); whole-matrix temporaries for |K - 1|, the coding and a
-        # nearest-neighbour pass the scan no longer makes took it to 5.45
+        # the kernel K and the distances, with int16 codes: 2.59 arrays of
+        # n x n doubles traced at n = 400 (numpy 2.4); a transposed copy of
+        # K for the scan took it to 3.59, and whole-matrix temporaries for
+        # |K - 1|, the coding and a nearest-neighbour pass to 5.45
         n = 400
         pts = PointSet(np.random.default_rng(6).standard_normal((n, 3)))
         ctx = build_rbf_context(pts, 0.5)
@@ -435,7 +438,42 @@ class TestAssociationMeasures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.25 * n * n * 8
+        assert peak <= 3.25 * n * n * 8
+
+    @pytest.mark.parametrize("descriptor", ["rbf+mask:0.1:0.2:50",
+                                            "knn+mask:20:0.4:50"])
+    def test_report_scans_the_dual_kernel_itself(self, tmp_path, monkeypatch,
+                                                 descriptor):
+        # the scoring benchmark's two contexts, at a size where the stride
+        # keeps every point: the report's statistics equal the public
+        # function's, which scans a transposed copy
+        path = make_waves(tmp_path / "waves.csv", n=200, seed=2)
+        raw, _ = load_dataset(path, "y")
+        pts = PointSet(zscore_by_reference(raw.points, np.arange(200)))
+        ctx = build_from_descriptor(descriptor, pts, seed=3)
+        kernel = dual_kernel(ctx)
+        assert np.array_equal(kernel, kernel.T)
+        deviation, lips = kernel_association_measures(
+            kernel, pts, ctx.input_marginal, lipschitz_sample=200)
+
+        seen = {}
+        scan = evaluation._lipschitz_scan
+        form = evaluation.dual_kernel
+
+        def recording_scan(cols, points):
+            seen["scanned"] = cols
+            return scan(cols, points)
+
+        def recording_kernel(c):
+            seen["kernel"] = form(c)
+            return seen["kernel"]
+
+        monkeypatch.setattr(evaluation, "_lipschitz_scan", recording_scan)
+        monkeypatch.setattr(evaluation, "dual_kernel", recording_kernel)
+        rep = make_usefulness_report(contexture_svd(ctx, rank=10), ctx, pts,
+                                     d0=5, beta=1.0)
+        assert seen["scanned"] is seen["kernel"]
+        assert rep.kernel_deviation == deviation and rep.lipschitz == lips
 
     def test_report_rejects_points_off_the_support(self):
         rng = np.random.default_rng(5)

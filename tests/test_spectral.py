@@ -1,11 +1,14 @@
+import base64
 import dataclasses
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from contexture import (DiscreteDistribution, FiniteContext, PointSet,
                         SampleEncoder, adjoint_matrix, build_knn_context,
@@ -28,6 +31,43 @@ def random_context(seed, n, m):
     rng = np.random.default_rng(seed)
     rows = rng.dirichlet(np.ones(m) * 0.7, size=n)
     return FiniteContext(rows, DiscreteDistribution(rng.dirichlet(np.ones(n) * 5)))
+
+
+# a spectrum file written before left/right were packed, by save_spectrum on
+# list_format_context()
+LIST_FORMAT_FILE = Path(__file__).parent / "data" / "spectrum-list-format.json"
+
+
+def list_format_context():
+    counts = np.arange(1, 21, dtype=float).reshape(5, 4) % 7 + 1
+    return FiniteContext(counts / counts.sum(axis=1, keepdims=True),
+                         DiscreteDistribution(np.arange(1.0, 6.0)))
+
+
+def unpack(text, rows):
+    """A packed matrix field as float64, read from its documented form."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(rows, -1)
+
+
+def pack(matrix):
+    return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode()
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]))
+
+
+@st.composite
+def spectra(draw):
+    """A spectrum of arbitrary finite entries: n inputs, m contexts, r values."""
+    n, m, r = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values, left, right = (
+        np.array(draw(st.lists(finite_floats, min_size=size, max_size=size)))
+        for size in (r, n * r, m * r))
+    return ContextureSpectrum(values, left.reshape(n, r), right.reshape(m, r),
+                              DiscreteDistribution.uniform(n),
+                              DiscreteDistribution.uniform(m))
 
 
 class TestOperatorMatrices:
@@ -252,15 +292,93 @@ class TestSerialization:
         data = json.loads(path.read_text())
         assert set(data) == {"singular_values", "left", "right", "p_x", "p_a"}
 
+    def test_packed_fields_hold_little_endian_float64_bytes(self, two_state):
+        spec = contexture_svd(two_state)
+        data = spec.to_json_dict()
+        for key in ("singular_values", "p_x", "p_a"):
+            assert isinstance(data[key], list)
+        assert np.array_equal(unpack(data["left"], 2), spec.left_functions)
+        assert np.array_equal(unpack(data["right"], 2), spec.right_functions)
+
     @pytest.mark.parametrize("field, row", [("singular_values", None),
                                             ("left", 0), ("right", 1)])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entry_rejected(self, two_state, field, row, bad):
         data = contexture_svd(two_state).to_json_dict()
-        target = data[field] if row is None else data[field][row]
-        target[-1] = bad
+        if row is None:
+            data[field][-1] = bad
+        else:  # through the packed encoding
+            matrix = unpack(data[field], 2).copy()
+            matrix[row, -1] = bad
+            data[field] = pack(matrix)
         with pytest.raises(ValueError, match="finite"):
             ContextureSpectrum.from_json_dict(data)
+
+    def test_non_finite_entry_in_nested_list_rejected(self, two_state):
+        spec = contexture_svd(two_state)
+        data = spec.to_json_dict()
+        data["left"] = spec.left_functions.tolist()
+        data["left"][1][-1] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            ContextureSpectrum.from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["left", "right"])
+    @pytest.mark.parametrize("bad, match", [
+        ("not base64!", "not base64"),
+        ("AAAA", "holds 3 bytes.*need 32"),
+        (pack(np.zeros(3)), "holds 24 bytes.*need 32"),
+        (17, "got int"),
+        (None, "got NoneType"),
+        ({"data": ""}, "got dict"),
+        ([["a", "b"], ["c", "d"]], "not a matrix of numbers"),
+        ([[1.0, 2.0], [3.0]], "not a matrix of numbers"),
+    ], ids=["alphabet", "short", "one-value-short", "int", "null", "object",
+            "strings", "ragged"])
+    def test_malformed_matrix_field_names_the_field(self, two_state, field,
+                                                    bad, match):
+        data = contexture_svd(two_state).to_json_dict()
+        data[field] = bad
+        with pytest.raises(ValueError, match=f"{field!r}.*{match}"):
+            ContextureSpectrum.from_json_dict(data)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=spectra())
+    @example(spec=ContextureSpectrum(
+        np.array([1.7e308]), np.array([[-0.0], [5e-324], [-1.7e308]]),
+        np.array([[2.2e-308]]), DiscreteDistribution.uniform(3),
+        DiscreteDistribution.uniform(1)))
+    def test_save_load_keeps_every_bit(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        save_spectrum(spec, path)
+        loaded = load_spectrum(path)
+        for field in ("singular_values", "left_functions", "right_functions"):
+            got, want = getattr(loaded, field), getattr(spec, field)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
+
+    def test_list_format_file_loads(self, tmp_path):
+        saved = json.loads(LIST_FORMAT_FILE.read_text())
+        assert isinstance(saved["left"], list)
+        loaded = load_spectrum(LIST_FORMAT_FILE)
+        assert np.array_equal(loaded.left_functions, saved["left"])
+        assert np.array_equal(loaded.right_functions, saved["right"])
+        # the file holds exactly what contexture_svd returns; across LAPACK
+        # builds the fresh result may move by roundoff
+        fresh = contexture_svd(list_format_context())
+        for field in ("singular_values", "left_functions", "right_functions"):
+            np.testing.assert_allclose(getattr(loaded, field),
+                                       getattr(fresh, field),
+                                       rtol=0, atol=1e-13)
+        assert np.array_equal(loaded.input_marginal.weights,
+                              fresh.input_marginal.weights)
+        # written again, it is packed and keeps every bit
+        path = tmp_path / "spec.json"
+        save_spectrum(loaded, path)
+        assert isinstance(json.loads(path.read_text())["left"], str)
+        again = load_spectrum(path)
+        assert np.array_equal(again.left_functions, loaded.left_functions)
+        assert np.array_equal(again.right_functions, loaded.right_functions)
 
     @pytest.mark.parametrize("field, shape", [
         ("singular_values", (3,)), ("singular_values", (1, 2)),
