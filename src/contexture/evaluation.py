@@ -147,9 +147,9 @@ def approx_err(enc: SampleEncoder, f: TaskFunction) -> float:
     """Best affine fit residual of the task on the encoder columns."""
     if enc.values.shape[0] != f.values.size:
         raise ValueError("encoder and task must share a support")
-    form = _LeastSquaresForm(f.marginal.weights, f.values[:, None],
-                             intercept=True, offset=0.0)
-    return _ls_value_and_grad(form, enc.values)[0]
+    w = f.marginal.weights
+    form = _LeastSquaresForm(w, f.values[:, None], intercept=True, offset=0.0)
+    return _ls_value_and_grad(form, orthonormal_basis(enc.values, w, center=True))[0]
 
 
 # ---------------------------------------------------------------------------

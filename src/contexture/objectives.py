@@ -16,19 +16,18 @@ over.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from ._linalg import (fix_signs, top_eigenpairs, weighted_center,
-                      weighted_cov, weighted_gram, weighted_mean,
-                      whiten_columns)
+from ._linalg import (fix_signs, orthonormal_basis, top_eigenpairs,
+                      weighted_center, weighted_cov, weighted_gram,
+                      weighted_mean, whiten_columns)
 from .context import DiscreteDistribution, FiniteContext
-from .errors import ConstraintViolationError, DivergenceError
+from .errors import ConstraintViolationError, DivergenceError, NumericalError
 from .spectral import adjoint_matrix, contexture_svd
 
 CONSTRAINT_ATOL = 1e-6
@@ -260,9 +259,7 @@ def _sandwiched_operator(objective: ObjectiveKind, ctx: FiniteContext,
     V under the opposite marginal, as the centred linear kernel does.
     """
     ls = _least_squares_form(objective, ctx, _resolve_aux(objective, ctx, aux))
-    targets = (weighted_center(ls.targets, ls.row_weights) if ls.intercept
-               else ls.targets)
-    scaled = np.sqrt(ls.row_weights)[:, None] * targets
+    scaled = np.sqrt(ls.row_weights)[:, None] * ls.fit_targets
     return scaled @ scaled.T
 
 
@@ -290,7 +287,7 @@ class _LeastSquaresForm:
     """Reduced weighted least-squares equivalent of a fitting objective.
 
     Minimizing sum_i w_i ||W phi_i + b - m_i||^2 + offset over (W, b)
-    reproduces the exact population objective.
+    reproduces the exact population objective; the row weights w sum to 1.
     """
 
     row_weights: np.ndarray
@@ -298,23 +295,31 @@ class _LeastSquaresForm:
     intercept: bool
     offset: float
 
+    @cached_property
+    def fit_targets(self) -> np.ndarray:
+        """The targets, centred under the row weights with an intercept."""
+        return (weighted_center(self.targets, self.row_weights)
+                if self.intercept else self.targets)
+
 
 def _least_squares_form(objective: ObjectiveKind, ctx: FiniteContext,
                         vectors: np.ndarray | None) -> _LeastSquaresForm:
     """Least squares on the aux ``vectors``: targets ``expect @ vectors``
-    under row weights ``rows``; ``rows @ expect == cols`` in every case.
-    ``None`` means one-hot vectors: the targets are ``expect`` itself, not
-    a copy, so nothing may write into them."""
+    under row weights ``rows``, summing to 1 (``rows @ expect == cols`` but
+    for ``supervised_balanced``). ``None`` means one-hot vectors: the
+    targets are ``expect`` itself, not a copy, so nothing may write in."""
     p = ctx.input_marginal.weights
     q = ctx.context_marginal.weights
     form = _FORMS[objective]
     if objective is ObjectiveKind.SUPERVISED_BALANCED:
         # class balancing reweights context a by 1 / sqrt(q_a); each row is
-        # renormalized and its mass rho moves into the row weight
+        # renormalized and its mass rho moves into the row weight, whose
+        # total moves into the targets as its square root: the weights sum to 1
         inv_sq = 1.0 / np.sqrt(q)
         rho = ctx.conditional @ inv_sq
-        expect = ctx.conditional * inv_sq[None, :] / rho[:, None]
-        rows, cols = p * rho, np.sqrt(q)
+        mass = p @ rho
+        expect = ctx.conditional * (np.sqrt(mass) * inv_sq) / rho[:, None]
+        rows, cols = p * rho / mass, np.sqrt(q)
     elif form.support == "input":
         expect, rows, cols = ctx.conditional, p, q
     else:
@@ -327,27 +332,15 @@ def _least_squares_form(objective: ObjectiveKind, ctx: FiniteContext,
     return _LeastSquaresForm(rows, targets, form.biased, offset)
 
 
-def _ls_solve(form: _LeastSquaresForm, values: np.ndarray):
-    """Optimal (coefficients, fitted) of the reduced least squares."""
-    design = values
-    if form.intercept:
-        design = np.concatenate([values, np.ones((values.shape[0], 1))], axis=1)
-    sw = np.sqrt(form.row_weights)
-    coef, _, rank, _ = np.linalg.lstsq(sw[:, None] * design,
-                                       sw[:, None] * form.targets, rcond=None)
-    if rank < design.shape[1]:
-        warnings.warn("singular normal equations; pseudo-inverse solution used",
-                      RuntimeWarning, stacklevel=3)
-    return coef, design @ coef
-
-
 def _ls_value_and_grad(form: _LeastSquaresForm, values: np.ndarray):
-    coef, fitted = _ls_solve(form, values)
-    resid = fitted - form.targets
-    value = float(form.row_weights @ np.sum(resid ** 2, axis=1)) + form.offset
-    w_mat = coef[:values.shape[1], :]  # drop intercept row if present
-    grad = 2.0 * form.row_weights[:, None] * (resid @ w_mat.T)
-    return value, grad
+    """Value and gradient of the fit at ``values`` orthonormal under the
+    row weights w (centred under w with an intercept): the optimal head is
+    the projection ``values.T @ diag(w) @ targets``, plus their mean."""
+    w, targets = form.row_weights[:, None], form.fit_targets
+    coef = (w * values).T @ targets
+    resid = values @ coef - targets
+    weighted = w * resid
+    return float(np.vdot(resid, weighted)) + form.offset, 2.0 * (weighted @ coef.T)
 
 
 def _center_chain(grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -377,51 +370,49 @@ def _quadratic_value_and_grad(weights: np.ndarray, m: np.ndarray, scale: float,
 
 def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
                      aux: np.ndarray | None):
-    """``value_grad(values) -> (value, gradient)`` of the exact population
-    objective, both from one evaluation; the matrices it reads are built
-    once, here."""
+    """``(value_grad, basis)``: ``value_grad(basis(values))`` is the exact
+    population objective's ``(value, gradient)`` from one evaluation, and
+    the matrices it reads are built once, here. ``basis`` is the span's
+    ``orthonormal_basis`` for the six least-squares kinds, and
+    ``np.asarray``, the identity on value matrices, for the others."""
     form = _FORMS[objective]
     vectors = _resolve_aux(objective, ctx, aux)
     if form.kernel is not None or objective is ObjectiveKind.SUPERVISED_BALANCED:
         ls = _least_squares_form(objective, ctx, vectors)
-        return partial(_ls_value_and_grad, ls)
+        return partial(_ls_value_and_grad, ls), partial(
+            orthonormal_basis, weights=ls.row_weights, center=ls.intercept)
     p = ctx.input_marginal.weights
     if objective is ObjectiveKind.NODE_EMBEDDING:
         joint = p[:, None] * ctx.conditional
-        return partial(_quadratic_value_and_grad, p, 0.5 * (joint + joint.T), 1.0)
+        return (partial(_quadratic_value_and_grad, p, 0.5 * (joint + joint.T),
+                        1.0), np.asarray)
     q = ctx.context_marginal.weights
     h = weighted_gram(ctx.conditional, p)
     if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
-        return partial(_lc_value_and_grad, q, h)
-    return partial(_quadratic_value_and_grad, q, h, 2.0)
-
-
-def _check_unit_covariance(enc_values: np.ndarray, weights: np.ndarray,
-                           objective: ObjectiveKind) -> None:
-    cov = weighted_cov(enc_values, weights)
-    dev = float(np.max(np.abs(cov - np.eye(cov.shape[0]))))
-    if dev > CONSTRAINT_ATOL:
-        raise ConstraintViolationError(
-            f"{objective.value} requires identity covariance; "
-            f"max deviation {dev:.3e}")
+        return partial(_lc_value_and_grad, q, h), np.asarray
+    return partial(_quadratic_value_and_grad, q, h, 2.0), np.asarray
 
 
 def eval_objective(objective, ctx: FiniteContext, enc: SampleEncoder,
                    aux: np.ndarray | None = None) -> float:
     """Exact population value of an objective at an encoder.
 
-    Inner linear heads, where the objective defines one, are solved as
-    weighted least squares. Constrained objectives raise if the encoder
-    covariance is not the identity.
+    A least-squares objective reads the encoder through its span's
+    orthonormal basis, so a dependent column adds nothing. Constrained
+    objectives raise if the encoder covariance is not the identity.
     """
     objective = ObjectiveKind(objective)
     form = _FORMS[objective]
     if enc.support != form.support:
         raise ValueError(f"{objective.value} expects a {form.support}-support encoder")
-    loss = _population_loss(objective, ctx, aux)
+    loss, basis = _population_loss(objective, ctx, aux)
     if form.constrained:
-        _check_unit_covariance(enc.values, form.marginals(ctx)[0].weights, objective)
-    return loss(enc.values)[0]
+        cov = weighted_cov(enc.values, form.marginals(ctx)[0].weights)
+        dev = float(np.max(np.abs(cov - np.eye(enc.d))))
+        if dev > CONSTRAINT_ATOL:
+            raise ConstraintViolationError(f"{objective.value} requires identity "
+                                           f"covariance; max deviation {dev:.3e}")
+    return loss(basis(enc.values))[0]
 
 
 def solve_variational(objective, ctx: FiniteContext, d: int,
@@ -435,7 +426,8 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     (a relative change within 1e-11) ends the run: it changes neither the
     iterate, its gradient nor the rate, so every later step would evaluate
     the same candidate. Constrained objectives keep iterates feasible by
-    exact whitening after every step.
+    exact whitening after every step; a least-squares iterate is replaced
+    by its span's orthonormal basis (a rank drop raises NumericalError).
     """
     objective = ObjectiveKind(objective)
     if d < 1:
@@ -453,10 +445,13 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     size, weights = len(marginal), marginal.weights
     if d > size:
         raise ValueError(f"d={d} exceeds the support size {size}")
-    value_grad = _population_loss(objective, ctx, aux)
+    value_grad, basis = _population_loss(objective, ctx, aux)
 
     def project(v):
-        return whiten_columns(v, weights) if form.constrained else v
+        v = basis(whiten_columns(v, weights) if form.constrained else v)
+        if v.shape[1] < d:
+            raise NumericalError(f"iterate spans {v.shape[1]} of {d} dimensions")
+        return v
 
     current = project(rng.standard_normal((size, d)))
     value, grad = value_grad(current)

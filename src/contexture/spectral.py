@@ -81,9 +81,9 @@ class ContextureSpectrum:
         as nested lists, the form written before they were packed. Raises
         ValueError unless every entry is finite and ``left``/``right`` hold
         one column per value."""
-        values = np.asarray(data["singular_values"], dtype=float)
-        p_x = DiscreteDistribution.from_saved(data["p_x"])
-        p_a = DiscreteDistribution.from_saved(data["p_a"])
+        values = _read_list(data, "singular_values")
+        p_x = DiscreteDistribution.from_saved(_read_list(data, "p_x"))
+        p_a = DiscreteDistribution.from_saved(_read_list(data, "p_a"))
         r = values.size
         left = _unpack_matrix(data, "left", (len(p_x), r))
         right = _unpack_matrix(data, "right", (len(p_a), r))
@@ -105,21 +105,26 @@ def _pack_matrix(matrix: np.ndarray) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
+def _read_list(data: dict, key: str, what: str = "list") -> np.ndarray:
+    """``data[key]``, a JSON list of numbers or of rows of them, as floats."""
+    field = data[key]
+    try:
+        if isinstance(field, list):
+            return np.asarray(field, dtype=float)
+        reason = f"got {type(field).__name__}"
+    except (TypeError, ValueError) as exc:
+        reason = str(exc)
+    raise ValueError(f"spectrum field {key!r} is not a {what} of numbers: {reason}")
+
+
 def _unpack_matrix(data: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of ``_pack_matrix`` for ``data[key]``, a matrix of ``shape``;
     a nested list is read as it stands and its shape is left to the caller.
     Raises ValueError naming ``key`` for text that is not base64 of exactly
     that many float64 values, and for any other JSON type."""
     field = data[key]
-    if isinstance(field, list):
-        try:
-            return np.asarray(field, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"spectrum field {key!r} is not a matrix of "
-                             f"numbers: {exc}") from None
     if not isinstance(field, str):
-        raise ValueError(f"spectrum field {key!r} must be base64 text or a "
-                         f"nested list, got {type(field).__name__}")
+        return _read_list(data, key, "matrix")
     try:
         raw = base64.b64decode(field, validate=True)
     except ValueError as exc:  # binascii.Error is a ValueError

@@ -345,10 +345,10 @@ def minimality_checks(rng, n, m, trials) -> list[dict]:
         ctx, aux = nondegenerate_context(rng, kind, n, m, d=2)
         enc = solve_spectral(kind, ctx, 2, aux)
         best = eval_objective(kind, ctx, enc, aux)
-        loss = _population_loss(kind, ctx, aux)
+        loss, basis = _population_loss(kind, ctx, aux)
         weights = enc.marginal.weights
-        rand_best = min(
-            loss(whiten_columns(rng.standard_normal((weights.size, 2)), weights))[0]
+        rand_best = min(loss(basis(whiten_columns(
+            rng.standard_normal((weights.size, 2)), weights)))[0]
             for _ in range(200))
         res.append(max(0.0, best - rand_best))
     return [_check("spectral_solution_minimality", res, 1e-9)]

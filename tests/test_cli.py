@@ -95,6 +95,22 @@ def test_metric_rejects_a_malformed_spectrum(tmp_path, waves_csv, capsys, corrup
     assert captured.out == "" and "usage error" in captured.err
 
 
+@pytest.mark.parametrize("bad", [{"a": 1}, None, "abc"])
+def test_metric_rejects_malformed_singular_values(tmp_path, waves_csv, capsys,
+                                                  bad):
+    spec_path = tmp_path / "spec.json"
+    assert main(["spectrum", "--context", "rbf:0.5", "--input", str(waves_csv),
+                 "--target", "y", "--top", "3", "--out", str(spec_path)]) == 0
+    data = json.loads(spec_path.read_text())
+    data["singular_values"] = bad
+    spec_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["metric", "--spectrum", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and "'singular_values'" in captured.err
+
+
 @pytest.mark.parametrize("field", ["left", "right"])
 def test_metric_rejects_a_short_packed_matrix(tmp_path, waves_csv, capsys, field):
     spec_path = tmp_path / "spec.json"

@@ -180,6 +180,28 @@ class TestApproxErr:
                 for j in range(1, 5)]
         assert all(b <= a + 1e-10 for a, b in zip(errs, errs[1:]))
 
+    @pytest.mark.parametrize("rows, dependent", [(4, False), (7, True)])
+    def test_more_columns_than_the_span_match_lstsq(self, rows, dependent):
+        # 5 columns on 4 rows, or on 7 rows with one a mix of two others:
+        # the intercept design is singular, and the span's rank cut reads
+        # it without a warning
+        rng = np.random.default_rng(rows)
+        marg = DiscreteDistribution(rng.dirichlet(np.full(rows, 3.0)))
+        values = rng.standard_normal((rows, 5))
+        if dependent:
+            values[:, 4] = values[:, 0] - 2.0 * values[:, 1]
+        f = TaskFunction(rng.standard_normal(rows), marg)
+        design = np.concatenate([values, np.ones((rows, 1))], axis=1)
+        root = np.sqrt(marg.weights)
+        coef = np.linalg.lstsq(root[:, None] * design, root * f.values,
+                               rcond=None)[0]
+        reference = float(marg.weights @ (design @ coef - f.values) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = approx_err(SampleEncoder(values, "input", marg), f)
+        assert abs(err - reference) <= 1e-12
+        assert (reference > 1e-3) == dependent
+
 
 class TestLinearProbe:
     def test_exact_linear_targets(self):

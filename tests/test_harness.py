@@ -1,7 +1,7 @@
-import contextlib
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -290,25 +290,30 @@ class TestVerifyTheorems:
     def test_smallest_sizes_return_a_report(self):
         names = [c["name"] for c in
                  verify_theorems(n=12, m=10, trials=1, seed=0)["checks"]]
-        # at n = 4, approx_err fits 5 columns to 4 rows
-        singular = "singular normal equations"
+        # at n = 4, approx_err fits 5 columns to 4 rows, which the span's
+        # rank cut reads without a warning
         for n, m in ((4, 4), (4, 80), (80, 4)):
-            expected = (pytest.warns(RuntimeWarning, match=singular) if n == 4
-                        else contextlib.nullcontext())
-            with expected:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 report = verify_theorems(n=n, m=m, trials=1, seed=0)
             assert [c["name"] for c in report["checks"]] == names
 
+    def test_balanced_draw_at_4x4_seed_6_passes(self):
+        # the second of this seed's three balanced draws stalled at 1.3375
+        # against the closed form's 1.3242 while the solver's iterates
+        # could become ill-conditioned
+        report = verify_theorems(n=4, m=4, trials=3, seed=6)
+        passed = {c["name"]: c["passed"] for c in report["checks"]}
+        assert passed["objective_span_supervised_balanced"]
+        assert passed["objective_value_supervised_balanced"]
+
     # small draws whose node-embedding checks need the graph's marginal
-    # spread bounded (by n); the 4-row sizes raise the expected
-    # singular-fit warning of approx_err
+    # spread bounded (by n); none warns, the 4-row sizes included
     @pytest.mark.parametrize("n, m, seed", [
         (4, 4, 1), (4, 4, 2), (4, 4, 13), (4, 80, 1), (4, 80, 3), (8, 8, 9)])
     def test_small_node_embedding_draws_pass(self, n, m, seed):
-        expected = (pytest.warns(RuntimeWarning, match="singular normal "
-                                 "equations") if n == 4
-                    else contextlib.nullcontext())
-        with expected:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = verify_theorems(n=n, m=m, trials=3, seed=seed)
         assert report["all_passed"], [c["name"] for c in report["checks"]
                                       if not c["passed"]]

@@ -235,7 +235,7 @@ def test_weighted_gram_products_are_symmetric_bit_for_bit(kind, d, seed, data):
     exact = estimate_covariances(enc, ctx)
     sampled = estimate_covariances(enc, ctx, "pair_sampled", 50, seed=seed)
     # the multi-view losses read h = T^T diag(p) T as their second argument
-    h = _population_loss(ObjectiveKind.MULTIVIEW_CONTRASTIVE, ctx, None).args[1]
+    h = _population_loss(ObjectiveKind.MULTIVIEW_CONTRASTIVE, ctx, None)[0].args[1]
     products = {"dual_kernel": dual_kernel(ctx),
                 "positive_pair_kernel": positive_pair_kernel(ctx),
                 "weighted_cov": weighted_cov(enc.values, p),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contexture import (ConstraintViolationError, DiscreteDistribution,
-                        DivergenceError, FiniteContext,
+                        DivergenceError, FiniteContext, NumericalError,
                         SampleEncoder, VariationalOptions, average_encoder,
                         build_graph_context, build_label_context,
                         cca_alignment, contexture_svd, eval_objective,
@@ -15,6 +16,11 @@ from contexture._linalg import (fix_signs, principal_angle_cosines,
 from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
                                    _least_squares_form, _resolve_aux,
                                    _sandwiched_operator)
+
+
+# the kinds whose loss is a weighted least-squares fit on the encoder
+LEAST_SQUARES_KINDS = [k for k in ObjectiveKind if _FORMS[k].kernel is not None
+                       or k is ObjectiveKind.SUPERVISED_BALANCED]
 
 
 def channel_as_label_context():
@@ -231,20 +237,60 @@ class TestEvalObjective:
         value = eval_objective("multiview_contrastive", two_state, enc)
         assert abs(value - (-0.5 * 0.8 ** 4)) < 1e-12
 
+    @pytest.mark.parametrize("kind", LEAST_SQUARES_KINDS)
+    def test_least_squares_value_is_the_pair_fit(self, kind):
+        # the definition: min over (W, b) of the weighted mean of
+        # ||W phi(i) + b - v(j)||^2 over the pairs (i on the encoder's
+        # support, j on the other), weighted by the joint (balanced
+        # supervision also by 1 / sqrt(q_j)), solved here by lstsq on every
+        # pair; the encoder's third column is a mix of the other two
+        rng = np.random.default_rng(21)
+        ctx = FiniteContext(rng.dirichlet(np.ones(5), size=6),
+                            DiscreteDistribution(rng.dirichlet(np.ones(6))))
+        form = _FORMS[kind]
+        own, other = form.marginals(ctx)
+        joint = ctx.input_marginal.weights[:, None] * ctx.conditional
+        pair = joint if form.support == "input" else joint.T
+        if kind is ObjectiveKind.SUPERVISED_BALANCED:
+            pair = pair / np.sqrt(ctx.context_marginal.weights)
+        aux = (rng.standard_normal((len(other), 2))
+               if form.kernel in (LossKernelKind.LINEAR,
+                                  LossKernelKind.CENTERED_LINEAR) else None)
+        vecs = np.eye(len(other)) if aux is None else aux
+        values = rng.standard_normal((len(own), 3))
+        values[:, 2] = values[:, 0] - 2.0 * values[:, 1]
+        i, j = np.divmod(np.arange(pair.size), pair.shape[1])
+        design = values[i]
+        if form.biased:
+            design = np.concatenate([design, np.ones((pair.size, 1))], axis=1)
+        root = np.sqrt(pair.ravel())
+        coef = np.linalg.lstsq(root[:, None] * design, root[:, None] * vecs[j],
+                               rcond=None)[0]
+        reference = float(pair.ravel()
+                          @ np.sum((design @ coef - vecs[j]) ** 2, axis=1))
+        value = eval_objective(kind, ctx, SampleEncoder(values, form.support,
+                                                        own), aux)
+        assert abs(value - reference) <= 1e-12 * max(1.0, reference)
+
     def test_verify_minimality_builds_each_loss_once(self, monkeypatch):
         # verify's minimality check reads its 200 random encoders per kind
         # from one loss; each value is eval_objective's, bit for bit
         built, seen = [], []
 
         def spy(kind, ctx, aux):
-            loss = objectives._population_loss(kind, ctx, aux)
+            loss, basis = objectives._population_loss(kind, ctx, aux)
             built.append(kind)
+            read = []
+
+            def record_basis(values):
+                read.append(values)
+                return basis(values)
 
             def record(values):
                 out = loss(values)
-                seen.append((kind, ctx, aux, values, out[0]))
+                seen.append((kind, ctx, aux, read[-1], out[0]))
                 return out
-            return record
+            return record, record_basis
 
         monkeypatch.setattr(verify, "_population_loss", spy)
         checks = verify.minimality_checks(np.random.default_rng(0), 24, 20, 3)
@@ -256,12 +302,45 @@ class TestEvalObjective:
             assert eval_objective(kind, ctx, enc, aux) == value
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(LEAST_SQUARES_KINDS), n=st.integers(3, 12),
+       m=st.integers(3, 12), d=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_least_squares_losses_read_only_the_span(kind, n, m, d, seed):
+    # the fit's head absorbs any invertible mixing of the columns, and its
+    # intercept any constant shift of them
+    rng = np.random.default_rng(seed)
+    ctx = verify.random_dense_context(rng, n, m)
+    own, other = _FORMS[kind].marginals(ctx)
+    aux = None
+    if _FORMS[kind].kernel in (LossKernelKind.LINEAR,
+                               LossKernelKind.CENTERED_LINEAR):
+        aux = rng.standard_normal((len(other), 2))
+    values = rng.standard_normal((len(own), d))
+    variants = [values @ verify.random_invertible(rng, d)]
+    if _FORMS[kind].biased:
+        variants.append(values + rng.uniform(-3.0, 3.0, d))
+    base = eval_objective(kind, ctx, SampleEncoder(values, _FORMS[kind].support,
+                                                   own), aux)
+    for moved in variants:
+        value = eval_objective(kind, ctx, SampleEncoder(
+            moved, _FORMS[kind].support, own), aux)
+        assert abs(value - base) <= 1e-12 * max(1.0, abs(base))
+
+
+def test_variational_rank_drop_raises():
+    # a biased fit reads the centred span, of rank n - 1 on n inputs
+    ctx = verify.random_dense_context(np.random.default_rng(0), 5, 6)
+    with pytest.raises(NumericalError, match="spans 4 of 5"):
+        solve_variational("regression_biased", ctx, 5)
+
+
 def solve_with_fifty_tie_steps(kind, ctx, d, opts):
     """solve_variational's loop as it was when a run ended only after 50
     ties in a row, each of which re-evaluated the same candidate."""
     form = _FORMS[ObjectiveKind(kind)]
     weights = form.marginals(ctx)[0].weights
-    value_grad = objectives._population_loss(ObjectiveKind(kind), ctx, None)
+    value_grad = objectives._population_loss(ObjectiveKind(kind), ctx, None)[0]
 
     def project(v):
         return whiten_columns(v, weights) if form.constrained else v
@@ -357,12 +436,12 @@ class TestSolveVariational:
         population_loss = objectives._population_loss
 
         def counted(*args):
-            value_grad = population_loss(*args)
+            value_grad, basis = population_loss(*args)
 
             def wrapped(values, *rest):
                 calls.append(values)
                 return value_grad(values, *rest)
-            return wrapped
+            return wrapped, basis
 
         monkeypatch.setattr(objectives, "_population_loss", counted)
         return calls

@@ -341,6 +341,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{field!r}.*{match}"):
             ContextureSpectrum.from_json_dict(data)
 
+    @pytest.mark.parametrize("field", ["singular_values", "p_x", "p_a"])
+    @pytest.mark.parametrize("bad, match", [
+        ({"a": 1}, "got dict"),
+        (None, "got NoneType"),
+        ("abc", "got str"),
+        (["a", 1.0], "not a list of numbers"),
+    ], ids=["object", "null", "string", "strings"])
+    def test_malformed_list_field_names_the_field(self, two_state, field,
+                                                  bad, match):
+        data = contexture_svd(two_state).to_json_dict()
+        data[field] = bad
+        with pytest.raises(ValueError, match=f"{field!r}.*{match}"):
+            ContextureSpectrum.from_json_dict(data)
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(spec=spectra())
