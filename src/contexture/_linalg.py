@@ -9,15 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
-
 # rows per block in ``sq_dists``, small enough that a block's three arrays
 # stay in cache; each row is summed in one block, so the bits do not change
 _DIST_BLOCK_ROWS = 32
-# ``whiten_columns`` raises when (s_min / s_max)^2 of the centred span is
-# below this, or when the span's rank cut has dropped what centring left
-# as roundoff
-_WHITEN_REL_FLOOR = 1e-13
 # relative size below which a singular value or residual counts as zero
 _RANK_REL_TOL = 1e-10
 
@@ -143,19 +137,6 @@ def weighted_cov(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weighted_gram(weighted_center(values, weights), weights)
 
 
-def whiten_columns(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Center columns and transform them to identity covariance.
-
-    The symmetric whitening X C^(-1/2) as the polar factor W^(-1/2) U V^T
-    of the centred span's SVD, so C is never formed; raises NumericalError
-    if C is numerically singular, a constant column included.
-    """
-    u, s, vt = span_svd(values, weights, center=True)
-    if s.size < values.shape[1] or s[-1] ** 2 < _WHITEN_REL_FLOOR * s[0] ** 2:
-        raise NumericalError("covariance is numerically singular; cannot whiten")
-    return (u @ vt) / np.sqrt(weights)[:, None]
-
-
 def span_svd(values: np.ndarray, weights: np.ndarray, center: bool = False):
     """Thin SVD ``(u, s, vt)`` of ``sqrt(weights) * values``, cut at its
     numerical rank; an all-zero span keeps no singular triplet.
@@ -172,8 +153,9 @@ def span_svd(values: np.ndarray, weights: np.ndarray, center: bool = False):
         scale = np.linalg.norm(scaled)
         scaled = root * weighted_center(values, weights)
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    keep = s > _RANK_REL_TOL * (scale if center else s[:1])
-    return u[:, keep], s[keep], vt[keep]
+    # s is descending, so the kept triplets are a leading slice
+    k = np.count_nonzero(s > _RANK_REL_TOL * (scale if center else s[:1]))
+    return u[:, :k], s[:k], vt[:k]
 
 
 def orthonormal_basis(values: np.ndarray, weights: np.ndarray,
@@ -190,8 +172,8 @@ def principal_angle_cosines(a: np.ndarray, b: np.ndarray, weights: np.ndarray,
     Computed in the weighted inner product; with ``center=True`` the spans
     of the centered columns are compared instead.
     """
-    qa = np.sqrt(weights)[:, None] * orthonormal_basis(a, weights, center)
-    qb = np.sqrt(weights)[:, None] * orthonormal_basis(b, weights, center)
+    qa = span_svd(a, weights, center)[0]
+    qb = span_svd(b, weights, center)[0]
     cos = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.clip(cos, 0.0, 1.0)
 

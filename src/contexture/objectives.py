@@ -25,7 +25,7 @@ import numpy as np
 
 from ._linalg import (fix_signs, orthonormal_basis, top_eigenpairs,
                       weighted_center, weighted_cov, weighted_gram,
-                      weighted_mean, whiten_columns)
+                      weighted_mean)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError, NumericalError
 from .spectral import adjoint_matrix, contexture_svd
@@ -373,8 +373,10 @@ def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
     """``(value_grad, basis)``: ``value_grad(basis(values))`` is the exact
     population objective's ``(value, gradient)`` from one evaluation, and
     the matrices it reads are built once, here. ``basis`` is the span's
-    ``orthonormal_basis`` for the six least-squares kinds, and
-    ``np.asarray``, the identity on value matrices, for the others."""
+    ``orthonormal_basis``, under the fit's row weights for the six
+    least-squares kinds and centred under the encoder's marginal for the
+    two constrained ones, whose losses read only the span; ``np.asarray``
+    for ``multiview_contrastive``, whose loss reads V's Gram matrix."""
     form = _FORMS[objective]
     vectors = _resolve_aux(objective, ctx, aux)
     if form.kernel is not None or objective is ObjectiveKind.SUPERVISED_BALANCED:
@@ -384,22 +386,23 @@ def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
     p = ctx.input_marginal.weights
     if objective is ObjectiveKind.NODE_EMBEDDING:
         joint = p[:, None] * ctx.conditional
-        return (partial(_quadratic_value_and_grad, p, 0.5 * (joint + joint.T),
-                        1.0), np.asarray)
+        return (partial(_quadratic_value_and_grad, p, 0.5 * (joint + joint.T), 1.0),
+                partial(orthonormal_basis, weights=p, center=True))
     q = ctx.context_marginal.weights
     h = weighted_gram(ctx.conditional, p)
     if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
         return partial(_lc_value_and_grad, q, h), np.asarray
-    return partial(_quadratic_value_and_grad, q, h, 2.0), np.asarray
+    return (partial(_quadratic_value_and_grad, q, h, 2.0),
+            partial(orthonormal_basis, weights=q, center=True))
 
 
 def eval_objective(objective, ctx: FiniteContext, enc: SampleEncoder,
                    aux: np.ndarray | None = None) -> float:
     """Exact population value of an objective at an encoder.
 
-    A least-squares objective reads the encoder through its span's
-    orthonormal basis, so a dependent column adds nothing. Constrained
-    objectives raise if the encoder covariance is not the identity.
+    Every kind but ``multiview_contrastive`` reads the encoder through its
+    span's orthonormal basis, so a dependent column adds nothing;
+    constrained kinds raise if its covariance is not the identity.
     """
     objective = ObjectiveKind(objective)
     form = _FORMS[objective]
@@ -425,9 +428,9 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     DivergenceError with the objective trace. The first step that ties
     (a relative change within 1e-11) ends the run: it changes neither the
     iterate, its gradient nor the rate, so every later step would evaluate
-    the same candidate. Constrained objectives keep iterates feasible by
-    exact whitening after every step; a least-squares iterate is replaced
-    by its span's orthonormal basis (a rank drop raises NumericalError).
+    the same candidate. Every iterate is replaced by the kind's basis (see
+    ``_population_loss``), so a constrained iterate stays feasible; a rank
+    drop raises NumericalError.
     """
     objective = ObjectiveKind(objective)
     if d < 1:
@@ -448,7 +451,7 @@ def solve_variational(objective, ctx: FiniteContext, d: int,
     value_grad, basis = _population_loss(objective, ctx, aux)
 
     def project(v):
-        v = basis(whiten_columns(v, weights) if form.constrained else v)
+        v = basis(v)
         if v.shape[1] < d:
             raise NumericalError(f"iterate spans {v.shape[1]} of {d} dimensions")
         return v

@@ -195,6 +195,16 @@ def _deflated_operator(ctx: FiniteContext, sp: np.ndarray,
     return deflated
 
 
+def _reflect_out(cols: np.ndarray, null: np.ndarray) -> None:
+    """Reflect ``cols`` in place within their span (one Householder
+    reflection) so that every column but the last is orthogonal to the
+    unit vector ``null``."""
+    h = null @ cols  # c, then c + sign(c_last) |c| e_last
+    h[-1] += np.copysign(np.linalg.norm(h), h[-1])
+    if h @ h > 0.0:
+        cols -= np.outer(cols @ h, h * (2.0 / (h @ h)))
+
+
 def _certified_ritz_triplets(ctx: FiniteContext, keep: int, sp: np.ndarray,
                              sq: np.ndarray):
     """Top ``keep`` >= 1 singular triplets ``(u, s, v)`` of the deflated
@@ -251,7 +261,8 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     A rank-1 request is the constant pair alone and decomposes nothing.
     Two routes give the remaining ``rank - 1`` triplets of the deflated
     matrix W. The dense route, the default and the oracle, is the thin SVD
-    of W. A rank ``r`` request with 2 <= r <= min(n, m) //
+    of W, its clamped columns reflected to be orthogonal to the constants
+    (``_reflect_out``). A rank ``r`` request with 2 <= r <= min(n, m) //
     ``GRAM_RANK_DIVISOR`` first tries the Gram route: ``eigh`` of the
     smaller of W W^T and W^T W, with W dropped while it runs, then one
     Rayleigh-Ritz step on its top r - 1 eigenvectors, with the deflated
@@ -282,6 +293,11 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     if triplets is None:
         u, s, vt = np.linalg.svd(_deflated_operator(ctx, sp, sq),
                                  full_matrices=False)
+        # the clamped columns and the dropped last one share a null space
+        # with the deflated constants, which the SVD mixes into them
+        block = slice(min(np.count_nonzero(s >= CLAMP_TOL), full - 1), full)
+        _reflect_out(u[:, block], sp)
+        _reflect_out(vt.T[:, block], sq)
         triplets = u[:, :keep], s[:keep], vt[:keep].T
     u, s, v = triplets
     values = np.concatenate(([1.0], s))

@@ -169,7 +169,7 @@ def test_learn_variational_mode(tmp_path, waves_csv):
 
 
 def test_learn_zero_dimensions_is_usage_error(tmp_path, waves_csv, capsys):
-    # a constrained kind, which would whiten a 60 x 0 draw
+    # a constrained kind, which would take the span of a 60 x 0 draw
     rc = main(["learn", "--objective", "multiview_noncontrastive",
                "--context", "knn:5", "--d", "0", "--mode", "variational",
                "--input", str(waves_csv), "--target", "y",

@@ -11,8 +11,9 @@ from contexture import (ConstraintViolationError, DiscreteDistribution,
                         operator_eigenvalues, save_encoder, solve_spectral,
                         solve_variational)
 from contexture import objectives, verify
-from contexture._linalg import (fix_signs, principal_angle_cosines,
-                                weighted_cov, weighted_norm, whiten_columns)
+from contexture._linalg import (fix_signs, orthonormal_basis,
+                                principal_angle_cosines, weighted_cov,
+                                weighted_norm)
 from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
                                    _least_squares_form, _resolve_aux,
                                    _sandwiched_operator)
@@ -21,6 +22,8 @@ from contexture.objectives import (_FORMS, LossKernelKind, ObjectiveKind,
 # the kinds whose loss is a weighted least-squares fit on the encoder
 LEAST_SQUARES_KINDS = [k for k in ObjectiveKind if _FORMS[k].kernel is not None
                        or k is ObjectiveKind.SUPERVISED_BALANCED]
+# the kinds whose encoder must have identity covariance
+CONSTRAINED_KINDS = [k for k in ObjectiveKind if _FORMS[k].constrained]
 
 
 def channel_as_label_context():
@@ -273,8 +276,9 @@ class TestEvalObjective:
         assert abs(value - reference) <= 1e-12 * max(1.0, reference)
 
     def test_verify_minimality_builds_each_loss_once(self, monkeypatch):
-        # verify's minimality check reads its 200 random encoders per kind
-        # from one loss; each value is eval_objective's, bit for bit
+        # verify's minimality check reads its 200 random draws per kind
+        # through one loss and its basis; each value is the loss at the
+        # draw's basis, bit for bit, and eval_objective's at that basis
         built, seen = [], []
 
         def spy(kind, ctx, aux):
@@ -283,12 +287,12 @@ class TestEvalObjective:
             read = []
 
             def record_basis(values):
-                read.append(values)
-                return basis(values)
+                read.append((values, basis(values)))
+                return read[-1][1]
 
             def record(values):
                 out = loss(values)
-                seen.append((kind, ctx, aux, read[-1], out[0]))
+                seen.append((kind, ctx, aux, *read[-1], out[0]))
                 return out
             return record, record_basis
 
@@ -296,10 +300,13 @@ class TestEvalObjective:
         checks = verify.minimality_checks(np.random.default_rng(0), 24, 20, 3)
         assert checks[0]["passed"]
         assert len(built) == 3 and len(seen) == 600
-        for kind, ctx, aux, values, value in seen:
+        for kind, ctx, aux, draw, spanned, value in seen:
+            loss, basis = objectives._population_loss(kind, ctx, aux)
+            assert loss(basis(draw))[0] == value
             form = _FORMS[kind]
-            enc = SampleEncoder(values, form.support, form.marginals(ctx)[0])
-            assert eval_objective(kind, ctx, enc, aux) == value
+            enc = SampleEncoder(spanned, form.support, form.marginals(ctx)[0])
+            assert (abs(eval_objective(kind, ctx, enc, aux) - value)
+                    <= 1e-12 * max(1.0, abs(value)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,6 +335,27 @@ def test_least_squares_losses_read_only_the_span(kind, n, m, d, seed):
         assert abs(value - base) <= 1e-12 * max(1.0, abs(base))
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(CONSTRAINED_KINDS), n=st.integers(4, 16),
+       d=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+def test_constrained_losses_read_only_the_span(kind, n, d, seed):
+    # an identity-covariance encoder is any orthonormal basis of its centred
+    # span: the loss does not see a rotation or a constant shift of it
+    rng = np.random.default_rng(seed)
+    ctx = verify.random_graph_context(rng, n)
+    own = _FORMS[kind].marginals(ctx)[0]
+    loss = objectives._population_loss(kind, ctx, None)[0]
+    values = orthonormal_basis(rng.standard_normal((n, d)), own.weights,
+                               center=True)
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    base = loss(values)[0]
+    for moved in (values @ rotation, values + rng.uniform(-3.0, 3.0, d)):
+        assert abs(loss(moved)[0] - base) <= 1e-12 * max(1.0, abs(base))
+        value = eval_objective(kind, ctx, SampleEncoder(
+            moved, _FORMS[kind].support, own))
+        assert abs(value - base) <= 1e-12 * max(1.0, abs(base))
+
+
 def test_variational_rank_drop_raises():
     # a biased fit reads the centred span, of rank n - 1 on n inputs
     ctx = verify.random_dense_context(np.random.default_rng(0), 5, 6)
@@ -335,16 +363,19 @@ def test_variational_rank_drop_raises():
         solve_variational("regression_biased", ctx, 5)
 
 
+def test_node_embedding_rank_drop_raises():
+    # an identity-covariance encoder spans centred functions, at most n - 1
+    ctx = verify.random_graph_context(np.random.default_rng(0), 5)
+    with pytest.raises(NumericalError, match="spans 4 of 5"):
+        solve_variational("node_embedding", ctx, 5)
+
+
 def solve_with_fifty_tie_steps(kind, ctx, d, opts):
     """solve_variational's loop as it was when a run ended only after 50
     ties in a row, each of which re-evaluated the same candidate."""
-    form = _FORMS[ObjectiveKind(kind)]
-    weights = form.marginals(ctx)[0].weights
-    value_grad = objectives._population_loss(ObjectiveKind(kind), ctx, None)[0]
-
-    def project(v):
-        return whiten_columns(v, weights) if form.constrained else v
-
+    weights = _FORMS[ObjectiveKind(kind)].marginals(ctx)[0].weights
+    value_grad, project = objectives._population_loss(ObjectiveKind(kind), ctx,
+                                                      None)
     current = project(np.random.default_rng(opts.seed).standard_normal(
         (len(weights), d)))
     value, grad = value_grad(current)
@@ -468,7 +499,7 @@ class TestSolveVariational:
     @pytest.mark.parametrize("kind", ["multiview_contrastive",
                                       "multiview_noncontrastive"])
     def test_first_tie_ends_the_run(self, kind, loss_calls):
-        # one unconstrained and one constrained (whitened) kind
+        # one kind read through the identity, one through its span's basis
         rng = np.random.default_rng(3)
         ctx = FiniteContext(rng.dirichlet(np.ones(5), size=6),
                             DiscreteDistribution.uniform(6))
@@ -558,8 +589,7 @@ class TestObjectiveTable:
             with pytest.raises(ValueError, match="support encoder"):
                 eval_objective(kind, ctx, flipped, aux)
 
-    @pytest.mark.parametrize("kind", [k for k in ObjectiveKind
-                                      if _FORMS[k].constrained])
+    @pytest.mark.parametrize("kind", CONSTRAINED_KINDS)
     def test_constrained_kinds_reject_non_whitened(self, kind):
         ctx = self._context(kind)
         own = (ctx.input_marginal if _FORMS[kind].support == "input"

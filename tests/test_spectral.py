@@ -568,6 +568,13 @@ def function_errors(spec, ctx):
     return ortho, residual
 
 
+def assert_orthonormal_singular_system(spec, ctx):
+    """Both sides' functions orthonormal, clamped columns included, and every
+    duality residual of ``singular_residuals`` at most 1e-12."""
+    assert function_errors(spec, ctx)[0] <= 1e-12
+    assert max(np.max(r) for r in singular_residuals(spec, ctx)) <= 1e-12
+
+
 def assert_thin_matches_full(ctx, spec, full):
     """A thin dense spectrum against the ``full_matrices=True`` one.
 
@@ -813,6 +820,43 @@ class TestDenseRoute:
                                 DiscreteDistribution(rng.dirichlet(np.ones(n))))
         assert_thin_matches_full(ctx, contexture_svd(ctx),
                                  full_matrices_spectrum(ctx))
+
+    def test_clamped_columns_are_orthogonal_to_the_constants(self):
+        # six points, each listed twice: six values clamp to zero, and the
+        # SVD mixes the deflated constants into their columns
+        points = PointSet(np.repeat(np.arange(6.0)[:, None], 2, axis=0))
+        ctx = build_rbf_context(points, 0.5)
+        spec = contexture_svd(ctx)
+        assert np.count_nonzero(spec.clamped) == 6
+        assert_orthonormal_singular_system(spec, ctx)
+
+    @pytest.mark.parametrize("n, m", [(5, 8), (8, 5)])
+    def test_clamped_columns_in_either_orientation(self, n, m):
+        # every row and every column listed twice: a wide or a tall operator
+        # with null vectors past the constants on both sides
+        rng = np.random.default_rng(1)
+        rows = np.repeat(rng.dirichlet(np.ones(m), size=n), 2, axis=0)
+        ctx = FiniteContext(np.repeat(rows, 2, axis=1) / 2.0,
+                            DiscreteDistribution(rng.dirichlet(np.ones(2 * n))))
+        spec = contexture_svd(ctx)
+        assert spec.clamped.any()
+        assert_orthonormal_singular_system(spec, ctx)
+
+    @settings(max_examples=30, deadline=None)
+    @given(disconnected=st.booleans(), size=st.integers(6, 80),
+           copies=st.integers(1, 60), k=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_knn_null_spaces_keep_an_orthonormal_system(self, disconnected,
+                                                        size, copies, k, seed):
+        rng = np.random.default_rng(seed)
+        if disconnected:
+            points = np.concatenate([rng.standard_normal((size, 2)) + 1e3 * c
+                                     for c in range(3)])
+        else:
+            base = rng.standard_normal((size, 2))
+            points = np.concatenate([base, base[rng.integers(0, size, copies)]])
+        ctx = build_knn_context(PointSet(points), k)
+        assert_orthonormal_singular_system(contexture_svd(ctx), ctx)
 
     def test_tall_context_allocates_no_square_array(self):
         # a 3000-point label context has 3 classes: the thin SVD forms no
