@@ -13,6 +13,25 @@ from contexture import ExperimentConfig, load_dataset, run_experiment, write_rep
 from contexture.harness import REFERENCE_MEDIANS, default_context_grid, split_dataset
 
 
+def default_config(dataset, target: str, seed: int = 0) -> ExperimentConfig:
+    """The default sweep of one CSV dataset at one split and config seed."""
+    points, _ = load_dataset(dataset, target)
+    # the neighbour counts of the grid stop at the pretrain size, which the
+    # config's split decides: build the config, then size its grid by that
+    config = ExperimentConfig(
+        dataset_path=str(dataset),
+        target_column=target,
+        context_grid=default_context_grid(points.n_points, per_family=18),
+        ridge_grid=[1e-6, 1e-4, 1e-2, 1.0],
+        d_grid=[1, 2, 4, 8, 16, 32],
+        d0=64,
+        seed=seed,
+    )
+    n_pre = len(split_dataset(points.n_points, config.split_fractions, config.seed)[0])
+    return dataclasses.replace(
+        config, context_grid=default_context_grid(n_pre, per_family=18))
+
+
 def main() -> int:
     if len(sys.argv) < 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -20,21 +39,7 @@ def main() -> int:
     dataset, target = sys.argv[1], sys.argv[2]
     out = Path(sys.argv[3]) if len(sys.argv) > 3 else None
 
-    points, _ = load_dataset(dataset, target)
-    # the neighbour counts of the grid stop at the pretrain size, which the
-    # config's split decides: build the config, then size its grid by that
-    config = ExperimentConfig(
-        dataset_path=dataset,
-        target_column=target,
-        context_grid=default_context_grid(points.n_points, per_family=18),
-        ridge_grid=[1e-6, 1e-4, 1e-2, 1.0],
-        d_grid=[1, 2, 4, 8, 16, 32],
-        d0=64,
-    )
-    n_pre = len(split_dataset(points.n_points, config.split_fractions, config.seed)[0])
-    config = dataclasses.replace(
-        config, context_grid=default_context_grid(n_pre, per_family=18))
-    report = run_experiment(config)
+    report = run_experiment(default_config(dataset, target))
     summary = report["summary"]
     print(f"{len(report['per_context'])} contexts evaluated, "
           f"{len(report['failures'])} failed")

@@ -282,17 +282,10 @@ def kernel_association_measures(kernel: np.ndarray, points: PointSet,
 
     The kernel must be a finite n x n matrix, with n the number of points
     and of marginal weights. The screened maximum equals an unscreened one.
+    A kernel that is symmetric bit for bit, such as a dual kernel, has its
+    rows read as its columns, so when the stride keeps every point the scan
+    reads the kernel itself and nothing is copied.
     """
-    return _association_measures(kernel, points, marginal, lipschitz_sample,
-                                 symmetric=False)
-
-
-def _association_measures(kernel, points: PointSet,
-                          marginal: DiscreteDistribution,
-                          lipschitz_sample: int, symmetric: bool):
-    """``kernel_association_measures``. A kernel that is ``symmetric`` bit
-    for bit has its rows read as its columns, so when the stride keeps
-    every point the scan reads the kernel itself and nothing is copied."""
     kernel = np.asarray(kernel, dtype=float)
     n = len(marginal)
     if kernel.shape != (n, n) or points.n_points != n:
@@ -314,7 +307,7 @@ def _association_measures(kernel, points: PointSet,
     idx = np.unique(np.round(np.linspace(0, n - 1, lipschitz_sample)).astype(int))
     # row a holds kernel column a, so the gap between points a and b is the
     # max-abs distance between rows a and b
-    if symmetric and idx.size == n:
+    if idx.size == n and np.array_equal(kernel, kernel.T):
         cols = kernel
     else:
         cols = kernel.T[np.ix_(idx, idx)]
@@ -402,10 +395,9 @@ def make_usefulness_report(spec: ContextureSpectrum, ctx: FiniteContext,
         rate = decay_rate(spec.nontrivial_values)
     except ValueError:
         rate = float("nan")
-    # the dual kernel is a Gram product, symmetric bit for bit
-    deviation, lips = _association_measures(
+    deviation, lips = kernel_association_measures(
         dual_kernel(ctx), points, ctx.input_marginal,
-        min(lipschitz_sample, ctx.n_inputs), symmetric=True)
+        min(lipschitz_sample, ctx.n_inputs))
     return UsefulnessReport(tau_curve=frag.tau_curve, tau=frag.tau,
                             d_star_metric=frag.d_star_metric, decay_rate=rate,
                             beta=beta, d0=d0, kernel_deviation=deviation,

@@ -15,7 +15,7 @@ from contexture import (DiscreteDistribution, FiniteContext, NumericalError,
                         mutual_knn, ratio_trace, trace_gap_bound,
                         usefulness_metric, worst_case_err)
 from contexture import evaluation
-from contexture._linalg import orthonormal_basis
+from contexture._linalg import orthonormal_basis, weighted_gram
 from contexture.context import build_from_descriptor, build_label_context
 from contexture.datasets import make_waves
 from contexture.evaluation import UsefulnessReport, save_tau_curve_csv
@@ -468,7 +468,7 @@ class TestAssociationMeasures:
                                                  descriptor):
         # the scoring benchmark's two contexts, at a size where the stride
         # keeps every point: the report's statistics equal the public
-        # function's, which scans a transposed copy
+        # function's, and its scan reads the dual kernel it formed
         path = make_waves(tmp_path / "waves.csv", n=200, seed=2)
         raw, _ = load_dataset(path, "y")
         pts = PointSet(zscore_by_reference(raw.points, np.arange(200)))
@@ -496,6 +496,60 @@ class TestAssociationMeasures:
                                      d0=5, beta=1.0)
         assert seen["scanned"] is seen["kernel"]
         assert rep.kernel_deviation == deviation and rep.lipschitz == lips
+
+    def test_dual_kernel_scan_holds_few_square_arrays(self):
+        # the distances and two int16 code arrays: 1.59 arrays of n x n
+        # doubles traced at n = 400 (numpy 2.4); a transposed copy of the
+        # kernel for the scan took it to 2.59
+        n = 400
+        pts = PointSet(np.random.default_rng(6).standard_normal((n, 3)))
+        ctx = build_rbf_context(pts, 0.5)
+        kernel = dual_kernel(ctx)
+        # a first call also traces numpy's lazy imports
+        kernel_association_measures(kernel, pts, ctx.input_marginal, n)
+        tracemalloc.start()
+        try:
+            kernel_association_measures(kernel, pts, ctx.input_marginal, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * n * n * 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["gram", "positive"]), n=st.integers(2, 40),
+           n_duplicates=st.integers(0, 6), subsample=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_statistics_equal_a_transposed_copy_scan(self, kind, n,
+                                                     n_duplicates, subsample,
+                                                     seed):
+        # a bit-symmetric kernel is scanned in place; the floats are those
+        # of a scan of the transposed copy, which any other kernel gets
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        if kind == "gram":
+            values = rng.standard_normal((int(rng.integers(1, 8)), n))
+            # a duplicated point has a duplicated kernel row and column
+            dup_from = rng.integers(0, n, n_duplicates)
+            dup_to = rng.integers(0, n, n_duplicates)
+            pts[dup_to] = pts[dup_from]
+            values[:, dup_to] = values[:, dup_from]
+            kernel = weighted_gram(values, rng.dirichlet(np.ones(len(values))))
+            assert np.array_equal(kernel, kernel.T)
+        else:
+            kernel = rng.exponential(size=(n, n))
+            assume(not np.array_equal(kernel, kernel.T))
+        marginal = DiscreteDistribution(rng.dirichlet(np.ones(n)))
+        sample = int(rng.integers(2, n)) if subsample and n > 2 else n
+
+        w = marginal.weights
+        idx = np.unique(np.round(np.linspace(0, n - 1, sample)).astype(int))
+        assume(np.ptp(pts[idx], axis=0).any())  # not every sampled point coincides
+        expected = (float(w @ np.abs(kernel - 1.0) @ w),
+                    evaluation._lipschitz_scan(kernel.T[np.ix_(idx, idx)],
+                                               pts[idx]))
+        got = kernel_association_measures(kernel, PointSet(pts), marginal,
+                                          sample)
+        assert got == expected
 
     def test_report_rejects_points_off_the_support(self):
         rng = np.random.default_rng(5)
