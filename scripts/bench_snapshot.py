@@ -21,7 +21,6 @@ is labelled noisy. Wall times are measured with tracing off.
 """
 
 import json
-import os
 import resource
 import statistics
 import subprocess
@@ -30,26 +29,13 @@ import tempfile
 import time
 from pathlib import Path
 
-BLAS_THREADS = 1
 TIMED_RUNS = 5
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = ("sweep-waves-400", "sweep-waves-2000", "verify-defaults")
 
-
-def bootstrap():
-    """Pin BLAS threads and put the sources and the benchmark on the path;
-    must run before numpy is imported."""
-    if "numpy" in sys.modules:
-        raise SystemExit("error: numpy was loaded before the BLAS thread count was set")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(BLAS_THREADS)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from machine import blas_threads
-    threads = blas_threads()
-    if threads != BLAS_THREADS:
-        raise SystemExit(f"error: BLAS reports {threads} threads, "
-                         f"the snapshot pins {BLAS_THREADS}")
-    return threads
+# the benchmark's own BLAS pin; it loads no numpy on import
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import bootstrap  # noqa: E402
 
 
 def prepare(name: str, workdir: Path):

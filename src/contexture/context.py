@@ -167,11 +167,10 @@ class FiniteContext:
 # ---------------------------------------------------------------------------
 
 def _rbf_conditional(points: np.ndarray, gamma: float) -> np.ndarray:
-    # log-space with per-row max subtraction; the self term makes the max 0.
-    # In place, so one n x n array is held
+    # every exponent is <= 0 and each row's own is 0, so exp cannot overflow
+    # and each row sum is at least 1. In place, so one n x n array is held
     q_mat = sq_dists(points, points)
     q_mat *= -gamma
-    q_mat -= q_mat.max(axis=1, keepdims=True)
     np.exp(q_mat, out=q_mat)
     q_mat /= q_mat.sum(axis=1, keepdims=True)
     return q_mat

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import harness
 from ._linalg import sq_dists
 from .context import PointSet, build_graph_context, build_rbf_context
 from .spectral import contexture_svd
@@ -65,7 +66,7 @@ def make_blobs(path, n=440, seed=2) -> Path:
     return Path(path)
 
 
-def make_planted(path, n=160, seed=3, gamma=0.5) -> Path:
+def make_planted(path, n=160, seed=3) -> Path:
     """Two well-separated blobs whose target is the top nontrivial singular
     function of a moderate-bandwidth RBF context on the standardized rows.
 
@@ -78,7 +79,7 @@ def make_planted(path, n=160, seed=3, gamma=0.5) -> Path:
         rng.standard_normal((n - half, 3)) * 0.7 - np.array([2.5, 0.0, 0.0]),
     ])
     standardized = (pts - pts.mean(axis=0)) / pts.std(axis=0)
-    ctx = build_rbf_context(PointSet(standardized), gamma=gamma)
+    ctx = build_rbf_context(PointSet(standardized), gamma=0.5)
     spec = contexture_svd(ctx, rank=2)
     target = spec.left_functions[:, 1]
     rows = [[*(f"{v:.8f}" for v in pts[i]), f"{target[i]:.8f}"]
@@ -87,35 +88,33 @@ def make_planted(path, n=160, seed=3, gamma=0.5) -> Path:
     return Path(path)
 
 
-def make_planted_graph(directory, n=160, seed=17, split_seed=0,
-                       fractions=(0.7, 0.15, 0.15), latent_gamma=1.0):
+def make_planted_graph(directory, n=160, seed=17, split_seed=0):
     """Dataset whose target is the top singular function of a planted graph.
 
     The graph's adjacency comes from latent coordinates unrelated to the
     feature columns, so feature-built contexts cannot represent the
-    target; held-out rows carry the same 5-nearest-pretrain-rows extension
-    the experiment harness applies to encoders. Returns the dataset path,
+    target; held-out rows carry the extension the experiment harness
+    applies to encoders, under its default split. Returns the dataset path,
     the adjacency path, and the planted context descriptor.
     """
-    from .harness import extend_encoder, split_dataset, zscore_by_reference
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((n, 3))
-    idx_pre, idx_down, idx_test = split_dataset(n, fractions, split_seed)
+    idx_pre, idx_down, idx_test = harness.split_dataset(
+        n, harness.DEFAULT_SPLIT, split_seed)
 
     latent = rng.standard_normal((len(idx_pre), 2))
-    adjacency = np.exp(-latent_gamma * sq_dists(latent, latent))
+    adjacency = np.exp(-sq_dists(latent, latent))
     np.fill_diagonal(adjacency, 0.0)
     ctx = build_graph_context(adjacency)
     mu1 = contexture_svd(ctx, rank=2).left_functions[:, 1]
 
-    z = zscore_by_reference(feats, idx_pre)
+    z = harness.zscore_by_reference(feats, idx_pre)
     target = np.zeros(n)
     target[idx_pre] = mu1
     rest = np.concatenate([idx_down, idx_test])
-    target[rest] = extend_encoder(z[idx_pre], mu1[:, None], z[rest], k=5)[:, 0]
+    target[rest] = harness.extend_encoder(z[idx_pre], mu1[:, None], z[rest])[:, 0]
 
     adj_path = directory / "planted_adjacency.csv"
     np.savetxt(adj_path, adjacency, delimiter=",")

@@ -31,6 +31,8 @@ from .verify import nondegenerate_context, verify_theorems  # noqa: F401
 # tabular benchmark suites; printed alongside results, never asserted
 REFERENCE_MEDIANS = {"pearson": 0.587, "distance_corr": 0.659}
 
+DEFAULT_SPLIT = (0.7, 0.15, 0.15)  # pretrain, downstream train, test
+
 EXTENSION_RULE = ("held-out rows embed as the average of the 5 nearest "
                   "pretrain rows' encoder values (exact value on pretrain rows)")
 
@@ -46,7 +48,7 @@ class ExperimentConfig:
     context_grid: list[str]
     ridge_grid: list[float]
     d_grid: list[int]
-    split_fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
+    split_fractions: tuple[float, float, float] = DEFAULT_SPLIT
     d0: int = 64
     beta: float = 1.0
     seed: int = 0

@@ -518,6 +518,13 @@ def save_encoder(enc: SampleEncoder, path, objective: str | None = None,
 def load_encoder(path, marginal: DiscreteDistribution | None = None) -> SampleEncoder:
     path = Path(path)
     values = np.loadtxt(path, delimiter=",", ndmin=2)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
+    sidecar_path = path.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text())
+    for field in ("support", "d"):
+        if not isinstance(sidecar, dict) or field not in sidecar:
+            raise ValueError(f"encoder sidecar {sidecar_path} has no {field!r} field")
+    if sidecar["d"] != values.shape[1]:
+        raise ValueError(f"encoder sidecar {sidecar_path} field 'd' is {sidecar['d']!r}, "
+                         f"but {path} has {values.shape[1]} columns")
     marginal = marginal or DiscreteDistribution.uniform(values.shape[0])
     return SampleEncoder(values, sidecar["support"], marginal)

@@ -242,6 +242,24 @@ def test_evaluate_bad_split_is_usage_error(tmp_path, waves_csv, capsys, rows,
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("sidecar, field", [
+    ('{"support": "input", "d": 2}', "'d'"),
+    ('["input", 1]', "'support'"),
+    ('{"d": 1}', "'support'"),
+])
+def test_evaluate_malformed_sidecar_is_usage_error(tmp_path, waves_csv, capsys,
+                                                   sidecar, field):
+    enc_path = tmp_path / "enc.csv"
+    np.savetxt(enc_path, np.arange(60.0)[:, None], delimiter=",")
+    (tmp_path / "enc.json").write_text(sidecar)
+    rc = main(["evaluate", "--encoder", str(enc_path), "--input",
+               str(waves_csv), "--target", "y", "--ridge-grid", "0.1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
+    assert "enc.json" in captured.err and "Traceback" not in captured.err
+
+
 def test_experiment_subcommand(tmp_path, waves_csv, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(
@@ -261,6 +279,21 @@ def test_experiment_subcommand(tmp_path, waves_csv, capsys):
     printed = capsys.readouterr().out
     assert "reference medians" in printed
     assert "0.587" in printed and "0.659" in printed
+
+
+def test_experiment_reports_skipped_contexts(tmp_path, waves_csv, capsys):
+    # 42 pretrain rows cannot give 1000 neighbours
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[experiment]\n"
+        f"dataset_path = {waves_csv}\n"
+        "target_column = y\n"
+        "context_grid = rbf:0.3, knn:1000\n"
+        "ridge_grid = 1e-2\n"
+        "d_grid = 1\n"
+        "d0 = 8\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "1 context(s) failed and were skipped" in capsys.readouterr().out
 
 
 def test_experiment_rejects_bad_config(tmp_path, waves_csv, capsys):

@@ -136,7 +136,7 @@ class TestRbf:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 300), p=st.integers(1, 5),
-           log_gamma=st.floats(-4.0, 1.0), grid=st.booleans(),
+           log_gamma=st.floats(-4.0, 3.0), grid=st.booleans(),
            seed=st.integers(0, 2 ** 31 - 1))
     def test_conditional_bitwise_equal_to_out_of_place_softmax(
             self, n, p, log_gamma, grid, seed):

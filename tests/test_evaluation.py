@@ -254,6 +254,16 @@ class TestLinearProbe:
         assert np.array_equal(flat.weights, column.weights)
         assert flat.bias == column.bias and flat.test_mse == column.test_mse
 
+    def test_one_training_row_validates_on_itself(self):
+        # the validation fifth is that row, so every penalty fits it
+        # exactly and the first in the grid wins
+        res = fit_linear_probe(([[2.0, -1.0]], [3.0]), ([[0.0, 0.0]], [1.0]),
+                               [0.5, 0.1])
+        assert res.ridge_penalty == 0.5
+        assert np.max(np.abs(res.weights)) < 1e-12
+        assert abs(res.bias - 3.0) < 1e-12 and res.train_mse < 1e-20
+        assert abs(res.test_mse - 4.0) < 1e-12
+
     def test_infinite_penalty_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             fit_linear_probe((np.ones((5, 1)), np.ones(5)),
@@ -639,6 +649,21 @@ class TestTraceGapBound:
                    for cols in ([1, 2], [1, 2, 1])]
         np.testing.assert_allclose(results[1], results[0], rtol=1e-12)
         assert abs(results[0][0] - s[2] ** 2) < 1e-10
+
+    def test_surrogate_past_s1_has_no_finite_bound(self):
+        # two nearly separate blocks give s_1 near 1; the last singular
+        # function alone misses s_1^2 + s_2^2, past s_1
+        rows = np.full((6, 6), 1e-3)
+        rows[:3, :3] = rows[3:, 3:] = 1.0
+        rows[[0, 3], [1, 4]] = 3.0
+        ctx = FiniteContext(rows / rows.sum(axis=1, keepdims=True),
+                            DiscreteDistribution.uniform(6))
+        spec = contexture_svd(ctx)
+        s = spec.nontrivial_values
+        enc = SampleEncoder(spec.left_functions[:, -1:], "input",
+                            ctx.input_marginal)
+        gap, bound = trace_gap_bound(enc, ctx, spec, epsilon=1 - s[0] + 0.05)
+        assert gap >= s[0] and bound == float("inf")
 
     def test_epsilon_hypothesis_enforced(self):
         ctx = dense_context(13, 8, 6)

@@ -287,6 +287,24 @@ class TestVerifyTheorems:
             verify_mod.worstcase_residuals(np.random.default_rng(0), 2, 2)
         assert draws == [(2, 2)] * verify_mod.TRIES
 
+    def test_nondegenerate_context_skips_short_spectra_then_raises(
+            self, monkeypatch):
+        import contexture.verify as verify_mod
+
+        sizes, eigenvalues = [], verify_mod.operator_eigenvalues
+
+        def counted(*args):
+            evals = eigenvalues(*args)
+            sizes.append(evals.size)
+            return evals
+
+        monkeypatch.setattr(verify_mod, "operator_eigenvalues", counted)
+        # a 4 x 4 context has 3 nontrivial values, so d = 3 never has a gap
+        with pytest.raises(NumericalError, match=f"after {verify_mod.TRIES}"):
+            verify_mod.nondegenerate_context(np.random.default_rng(0),
+                                             "multiview_noncontrastive", 4, 4, 3)
+        assert len(sizes) == verify_mod.TRIES and max(sizes) <= 3
+
     def test_smallest_sizes_return_a_report(self):
         names = [c["name"] for c in
                  verify_theorems(n=12, m=10, trials=1, seed=0)["checks"]]

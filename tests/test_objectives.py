@@ -530,6 +530,21 @@ class TestEncoderSerialization:
             save_encoder(enc, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("sidecar, field", [
+        ('{"support": "input", "d": 2}', "'d'"),
+        ('["input", 1]', "'support'"),
+        ('{"d": 1}', "'support'"),
+        ('{"support": "input"}', "'d'"),
+    ])
+    def test_malformed_sidecar_names_field_and_file(self, tmp_path, sidecar,
+                                                    field):
+        path = tmp_path / "enc.csv"
+        np.savetxt(path, np.arange(4.0)[:, None], delimiter=",")
+        (tmp_path / "enc.json").write_text(sidecar)
+        with pytest.raises(ValueError) as info:
+            load_encoder(path)
+        assert field in str(info.value) and "enc.json" in str(info.value)
+
 
 class TestSampleEncoderCaches:
     def test_mean_centered_cov(self):

@@ -621,8 +621,13 @@ def traced_peak(func, *args, **kwargs):
 def drawn_context(kind, seed, data):
     """A context of one of the kinds the spectrum routes must agree on:
     ``tall`` or ``wide`` dense Dirichlet rows, points with ``duplicates``
-    under a kNN or RBF context, or a ``disconnected`` kNN graph."""
+    under a kNN or RBF context, a ``disconnected`` kNN graph, or a
+    ``near_independent`` one, whose rows all lie near one distribution."""
     rng = np.random.default_rng(seed)
+    if kind == "near_independent":
+        n = data.draw(st.integers(8, 160), label="n")
+        m = data.draw(st.integers(8, 160), label="m")
+        return verify._perturbation_context(rng, n, m)
     if kind in ("tall", "wide"):
         side = data.draw(st.integers(8, 160), label="side")
         n, m = side + data.draw(st.integers(1, 60), label="extra"), side
@@ -746,6 +751,14 @@ class TestGramRoute:
         assert routes == [True]
         assert_matches_dense(ctx, spec, certified=True)
 
+    def test_near_independent_context(self):
+        # every nontrivial value is of the order of the perturbation, 1e-3
+        ctx = verify._perturbation_context(np.random.default_rng(5), 120, 90)
+        spec, routes = svd_with_route(ctx, 12)
+        assert routes == [True]
+        assert np.all(spec.nontrivial_values < 1e-2)
+        assert_matches_dense(ctx, spec, certified=True)
+
     def test_rank_one_keeps_nothing_and_equals_dense(self):
         # only the constant pair is kept, so no route is tried
         ctx = random_context(12, 24, 20)
@@ -754,7 +767,8 @@ class TestGramRoute:
         assert_matches_dense(ctx, spec, certified=False)
 
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(["tall", "wide", "duplicates", "disconnected"]),
+    @given(kind=st.sampled_from(["tall", "wide", "duplicates", "disconnected",
+                                 "near_independent"]),
            seed=st.integers(0, 2 ** 31 - 1), data=st.data())
     def test_route_equals_the_direct_gram_route(self, kind, seed, data):
         # dropping W during eigh and the symmetrised copy of an exactly
