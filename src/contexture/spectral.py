@@ -262,12 +262,11 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     Two routes give the remaining ``rank - 1`` triplets of the deflated
     matrix W. The dense route, the default and the oracle, is the thin SVD
     of W, its clamped columns reflected to be orthogonal to the constants
-    (``_reflect_out``) and the constants projected out of the others. A
-    rank ``r`` request with 2 <= r <= min(n, m) // ``GRAM_RANK_DIVISOR``
-    first tries the Gram route: ``eigh`` of the smaller of W W^T and W^T W,
-    with W dropped while it runs, then one Rayleigh-Ritz step on its top
-    r - 1 eigenvectors, with the deflated constants (null vectors of W)
-    projected out of both sides. Its result is
+    (``_reflect_out``). A rank ``r`` request with 2 <= r <= min(n, m) //
+    ``GRAM_RANK_DIVISOR`` first tries the Gram route: ``eigh`` of the
+    smaller of W W^T and W^T W, with W dropped while it runs, then one
+    Rayleigh-Ritz step on its top r - 1 eigenvectors, with the deflated
+    constants (null vectors of W) projected out of both sides. Its result is
     kept only if every retained residual |W v - s u| is at most
     ``RITZ_RESIDUAL_TOL`` and the smallest retained Gram eigenvalue exceeds
     ``GRAM_EIG_REL_FLOOR`` times the largest; otherwise the dense SVD runs
@@ -299,12 +298,6 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
         block = slice(min(np.count_nonzero(s >= CLAMP_TOL), full - 1), full)
         _reflect_out(u[:, block], sp)
         _reflect_out(vt.T[:, block], sq)
-        # the other columns hold about eps / s of the constants for a value
-        # s near zero (the gap to the null space); removing it keeps them
-        # orthogonal to the constant to roundoff, as on the Gram route
-        lead = slice(0, block.start)
-        for cols, null in ((u[:, lead], sp), (vt.T[:, lead], sq)):
-            cols -= np.outer(null, null @ cols)
         triplets = u[:, :keep], s[:keep], vt[:keep].T
     u, s, v = triplets
     values = np.concatenate(([1.0], s))
