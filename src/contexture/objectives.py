@@ -518,13 +518,13 @@ def save_encoder(enc: SampleEncoder, path, objective: str | None = None,
 def load_encoder(path, marginal: DiscreteDistribution | None = None) -> SampleEncoder:
     path = Path(path)
     values = np.loadtxt(path, delimiter=",", ndmin=2)
-    sidecar_path = path.with_suffix(".json")
-    sidecar = json.loads(sidecar_path.read_text())
-    for field in ("support", "d"):
-        if not isinstance(sidecar, dict) or field not in sidecar:
-            raise ValueError(f"encoder sidecar {sidecar_path} has no {field!r} field")
-    if sidecar["d"] != values.shape[1]:
-        raise ValueError(f"encoder sidecar {sidecar_path} field 'd' is {sidecar['d']!r}, "
-                         f"but {path} has {values.shape[1]} columns")
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    wanted = {"support": ("input", "context"), "d": (values.shape[1],)}
+    for field, allowed in wanted.items():
+        value = sidecar.get(field) if isinstance(sidecar, dict) else None
+        # exact types: true and 1.0 equal 1 but are no column count
+        if type(value) is not type(allowed[0]) or value not in allowed:
+            raise ValueError(f"encoder sidecar {path.with_suffix('.json')} field "
+                             f"{field!r} is {value!r}, not one of {allowed}")
     marginal = marginal or DiscreteDistribution.uniform(values.shape[0])
     return SampleEncoder(values, sidecar["support"], marginal)

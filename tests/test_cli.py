@@ -246,6 +246,7 @@ def test_evaluate_bad_split_is_usage_error(tmp_path, waves_csv, capsys, rows,
     ('{"support": "input", "d": 2}', "'d'"),
     ('["input", 1]', "'support'"),
     ('{"d": 1}', "'support'"),
+    ('{"support": "middle", "d": 1}', "'support'"),
 ])
 def test_evaluate_malformed_sidecar_is_usage_error(tmp_path, waves_csv, capsys,
                                                    sidecar, field):

@@ -535,6 +535,9 @@ class TestEncoderSerialization:
         ('["input", 1]', "'support'"),
         ('{"d": 1}', "'support'"),
         ('{"support": "input"}', "'d'"),
+        ('{"support": "input", "d": true}', "'d'"),
+        ('{"support": "input", "d": 1.0}', "'d'"),
+        ('{"support": "middle", "d": 1}', "'support'"),
     ])
     def test_malformed_sidecar_names_field_and_file(self, tmp_path, sidecar,
                                                     field):
