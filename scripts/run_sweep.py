@@ -5,31 +5,28 @@ metric-versus-error correlations.
 Usage: python scripts/run_sweep.py DATASET.csv TARGET_COLUMN [OUT.json]
 """
 
-import dataclasses
 import sys
 from pathlib import Path
 
 from contexture import ExperimentConfig, load_dataset, run_experiment, write_report
-from contexture.harness import REFERENCE_MEDIANS, default_context_grid, split_dataset
+from contexture.harness import (DEFAULT_SPLIT, REFERENCE_MEDIANS,
+                               default_context_grid, split_dataset)
 
 
 def default_config(dataset, target: str, seed: int = 0) -> ExperimentConfig:
     """The default sweep of one CSV dataset at one split and config seed."""
     points, _ = load_dataset(dataset, target)
-    # the neighbour counts of the grid stop at the pretrain size, which the
-    # config's split decides: build the config, then size its grid by that
-    config = ExperimentConfig(
+    # the neighbour counts of the grid stop at the pretrain size
+    n_pre = len(split_dataset(points.n_points, DEFAULT_SPLIT, seed)[0])
+    return ExperimentConfig(
         dataset_path=str(dataset),
         target_column=target,
-        context_grid=default_context_grid(points.n_points, per_family=18),
+        context_grid=default_context_grid(n_pre, per_family=18),
         ridge_grid=[1e-6, 1e-4, 1e-2, 1.0],
         d_grid=[1, 2, 4, 8, 16, 32],
         d0=64,
         seed=seed,
     )
-    n_pre = len(split_dataset(points.n_points, config.split_fractions, config.seed)[0])
-    return dataclasses.replace(
-        config, context_grid=default_context_grid(n_pre, per_family=18))
 
 
 def main() -> int:

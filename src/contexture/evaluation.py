@@ -174,6 +174,7 @@ def fit_linear_probe(train, test, ridge_grid, seed: int = 0) -> ProbeResult:
     The validation rows are the last fifth of the training rows after a
     seeded shuffle; the penalty minimizing validation MSE wins (first in
     grid order on ties) and the probe is refit on the full training set.
+    One training row leaves nothing to validate on: the first penalty wins.
     """
     x_train, y_train = (np.asarray(a, dtype=float) for a in train)
     x_test, y_test = (np.asarray(a, dtype=float) for a in test)
@@ -192,8 +193,8 @@ def fit_linear_probe(train, test, ridge_grid, seed: int = 0) -> ProbeResult:
     order = np.random.default_rng(seed).permutation(x_train.shape[0])
     n_val = max(1, x_train.shape[0] // 5)
     fit_idx, val_idx = order[:-n_val], order[-n_val:]
-    if fit_idx.size == 0:
-        fit_idx = val_idx
+    if fit_idx.size == 0:  # one row: nothing to validate against
+        fit_idx, grid = val_idx, grid[:1]
 
     best_penalty, best_val = grid[0], np.inf
     for penalty in grid:

@@ -109,7 +109,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def default_context_grid(n_pretrain: int, per_family: int = 35) -> list[str]:
+def default_context_grid(n_pretrain: int, per_family: int) -> list[str]:
     """Log-spaced RBF bandwidths and neighbor counts spanning weak to strong
     association, truncated for tiny datasets."""
     gammas = np.geomspace(1e-4, 10.0, per_family)
@@ -137,7 +137,7 @@ def load_dataset(path, target_column: str):
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if target_column not in header:
         raise ValueError(f"{path}: missing target column {target_column!r}")
     if len(rows) < 10:
@@ -147,16 +147,16 @@ def load_dataset(path, target_column: str):
 
     features = np.empty((len(rows), len(feat_cols)))
     raw_target = []
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, "
+            raise ValueError(f"{path}: row {line} has {len(row)} cells, "
                              f"expected {len(header)}")
         for jj, j in enumerate(feat_cols):
             try:
                 features[i, jj] = float(row[j])
             except ValueError:
                 raise ValueError(
-                    f"{path}: non-numeric feature cell at row {i + 2}, "
+                    f"{path}: non-numeric feature cell at row {line}, "
                     f"column {header[j]!r}: {row[j]!r}") from None
         raw_target.append(row[t_col])
 

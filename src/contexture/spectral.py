@@ -261,7 +261,7 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     A rank-1 request is the constant pair alone and decomposes nothing.
     Two routes give the remaining ``rank - 1`` triplets of the deflated
     matrix W. The dense route, the default and the oracle, is the thin SVD
-    of W, its clamped columns reflected to be orthogonal to the constants
+    of W, every column reflected to be orthogonal to the constants
     (``_reflect_out``). A rank ``r`` request with 2 <= r <= min(n, m) //
     ``GRAM_RANK_DIVISOR`` first tries the Gram route: ``eigh`` of the
     smaller of W W^T and W^T W, with W dropped while it runs, then one
@@ -293,11 +293,10 @@ def contexture_svd(ctx: FiniteContext, rank: int | None = None) -> ContextureSpe
     if triplets is None:
         u, s, vt = np.linalg.svd(_deflated_operator(ctx, sp, sq),
                                  full_matrices=False)
-        # the clamped columns and the dropped last one share a null space
-        # with the deflated constants, which the SVD mixes into them
-        block = slice(min(np.count_nonzero(s >= CLAMP_TOL), full - 1), full)
-        _reflect_out(u[:, block], sp)
-        _reflect_out(vt.T[:, block], sq)
+        # W's rank is below min(n, m): reflecting each column's constant part
+        # (about eps / s from the SVD) into the dropped last one moves no value
+        _reflect_out(u, sp)
+        _reflect_out(vt.T, sq)
         triplets = u[:, :keep], s[:keep], vt[:keep].T
     u, s, v = triplets
     values = np.concatenate(([1.0], s))

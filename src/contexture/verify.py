@@ -123,7 +123,7 @@ def _perturbation_context(rng, n, m, delta=1e-3) -> FiniteContext:
     row-sum-preserving perturbation."""
     base = rng.dirichlet(np.full(m, 8.0))
     noise = rng.standard_normal((n, m))
-    noise -= (noise @ base)[:, None] * 1.0  # zero mean under the base row
+    noise -= (noise @ base)[:, None]  # zero mean under the base row
     rows = base[None, :] * (1.0 + delta * noise)
     rows = np.clip(rows, 1e-12, None)
     return FiniteContext(rows, DiscreteDistribution.uniform(n), label="perturb")

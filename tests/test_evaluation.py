@@ -255,14 +255,19 @@ class TestLinearProbe:
         assert flat.bias == column.bias and flat.test_mse == column.test_mse
 
     def test_one_training_row_validates_on_itself(self):
-        # the validation fifth is that row, so every penalty fits it
-        # exactly and the first in the grid wins
+        # the validation fifth would be that row, which every penalty fits,
+        # so no validation runs and the first in the grid is returned
         res = fit_linear_probe(([[2.0, -1.0]], [3.0]), ([[0.0, 0.0]], [1.0]),
                                [0.5, 0.1])
         assert res.ridge_penalty == 0.5
         assert np.max(np.abs(res.weights)) < 1e-12
         assert abs(res.bias - 3.0) < 1e-12 and res.train_mse < 1e-20
         assert abs(res.test_mse - 4.0) < 1e-12
+        # roundoff in the exact fits would rank the penalties: 1e-3 won a
+        # validation on this row
+        res = fit_linear_probe(([[0.4]], [1.5]), ([[0.4]], [1.5]),
+                               [1.0, 1e-3, 1e-6])
+        assert res.ridge_penalty == 1.0
 
     def test_infinite_penalty_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -485,6 +485,8 @@ def test_default_context_grid_truncates():
 
 IN_TMP = "<file under tmp_path holding the text>"
 TEN_ROWS = "\n".join(["a,b,y"] + ["1,2,3"] * 9 + ["1,2"]) + "\n"
+# a blank line 3, then a bad row on line 11: messages name the file line
+BLANK_THEN = "\n".join(["a,y", "1,2", ""] + ["1,2"] * 7 + ["{}", "1,2"]) + "\n"
 
 
 @pytest.mark.parametrize("call, text, args, exc, match", [
@@ -502,6 +504,10 @@ TEN_ROWS = "\n".join(["a,b,y"] + ["1,2,3"] * 9 + ["1,2"]) + "\n"
      "no tabular section"),
     (verify_theorems, None, (24, 20, 0), ValueError,
      "trials must be at least 1"),
+    (load_dataset, BLANK_THEN.format("1"), (IN_TMP, "y"), ValueError,
+     "row 11 has 1 cells, expected 2"),
+    (load_dataset, BLANK_THEN.format("x,2"), (IN_TMP, "y"), ValueError,
+     "non-numeric feature cell at row 11, column 'a': 'x'"),
 ])
 def test_typed_input_errors(call, text, args, exc, match, tmp_path):
     path = tmp_path / "input"

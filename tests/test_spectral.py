@@ -860,6 +860,8 @@ class TestDenseRoute:
     @given(disconnected=st.booleans(), size=st.integers(6, 80),
            copies=st.integers(1, 60), k=st.integers(1, 6),
            seed=st.integers(0, 2 ** 31 - 1))
+    # a last value of 1.9e-5: an unclamped column near the null space
+    @example(disconnected=True, size=49, copies=1, k=5, seed=91)
     def test_knn_null_spaces_keep_an_orthonormal_system(self, disconnected,
                                                         size, copies, k, seed):
         rng = np.random.default_rng(seed)
@@ -871,6 +873,26 @@ class TestDenseRoute:
             points = np.concatenate([base, base[rng.integers(0, size, copies)]])
         ctx = build_knn_context(PointSet(points), k)
         assert_orthonormal_singular_system(contexture_svd(ctx), ctx)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), size=st.integers(6, 80),
+           log_gamma=st.floats(-2.0, 2.0))
+    # values just above CLAMP_TOL, whose columns the SVD leaves about
+    # eps / s off orthogonal to the constants
+    @example(seed=27, size=40, log_gamma=0.0)
+    def test_duplicate_point_rbf_columns_are_orthogonal_to_the_constants(
+            self, seed, size, log_gamma):
+        base = np.random.default_rng(seed).standard_normal((size, 2))
+        ctx = build_rbf_context(PointSet(np.concatenate([base, base[:5]])),
+                                10.0 ** log_gamma)
+        spec = contexture_svd(ctx)
+        for f, w in ((spec.left_functions, ctx.input_marginal.weights),
+                     (spec.right_functions, ctx.context_marginal.weights)):
+            assert np.max(np.abs(w @ f[:, 1:])) <= 1e-14
+        assert function_errors(spec, ctx)[0] <= 1e-12
+        for r in singular_residuals(spec, ctx):
+            assert np.max(r[~spec.clamped], initial=0.0) <= 1e-12
+            assert np.max(r[spec.clamped], initial=0.0) <= CLAMP_TOL
 
     def test_tall_context_allocates_no_square_array(self):
         # a 3000-point label context has 3 classes: the thin SVD forms no
