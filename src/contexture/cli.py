@@ -166,10 +166,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError("train fraction leaves an empty split")
     order = np.random.default_rng(args.seed).permutation(n)
     train_idx, test_idx = order[:n_train], order[n_train:]
-    y = task.values
-    mean, std = y[train_idx].mean(), y[train_idx].std()
-    std = std if std > 0 else 1.0
-    y = (y - mean) / std
+    y = zscore_by_reference(task.values[:, None], train_idx)[:, 0]
     probe = fit_linear_probe((enc.values[train_idx], y[train_idx]),
                              (enc.values[test_idx], y[test_idx]),
                              args.ridge_grid, seed=args.seed)

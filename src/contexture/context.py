@@ -207,11 +207,10 @@ def _mixture(points: PointSet, kind: str, param,
     for keep, count in subsets.items():
         surviving = points.points[:, list(keep)]
         if kind == "knn":
-            rows = np.repeat(np.arange(n), param)
-            cols = knn_index(surviving, param).ravel()
+            idx = knn_index(surviving, param)
             for _ in range(count):
-                accum[rows, cols] += 1.0 / param
-            del rows, cols  # n * k each: held on, they fragment the heap
+                accum[np.arange(n)[:, None], idx] += 1.0 / param
+            del idx  # n * k: held on, it fragments the heap
         else:
             conditional = _rbf_conditional(surviving, param)
             conditional *= count

@@ -78,7 +78,7 @@ def make_planted(path, n=160, seed=3) -> Path:
         rng.standard_normal((half, 3)) * 0.7 + np.array([2.5, 0.0, 0.0]),
         rng.standard_normal((n - half, 3)) * 0.7 - np.array([2.5, 0.0, 0.0]),
     ])
-    standardized = (pts - pts.mean(axis=0)) / pts.std(axis=0)
+    standardized = harness.zscore_by_reference(pts, np.arange(n))
     ctx = build_rbf_context(PointSet(standardized), gamma=0.5)
     spec = contexture_svd(ctx, rank=2)
     target = spec.left_functions[:, 1]

@@ -114,7 +114,7 @@ def default_context_grid(n_pretrain: int, per_family: int) -> list[str]:
     association, truncated for tiny datasets."""
     gammas = np.geomspace(1e-4, 10.0, per_family)
     k_max = max(1, n_pretrain - 1)
-    ks = sorted(set(np.unique(np.geomspace(1, k_max, per_family).astype(int))))
+    ks = np.unique(np.geomspace(1, k_max, per_family).astype(int))
     grid = [f"rbf:{g:g}" for g in gammas]
     grid += [f"knn:{k}" for k in ks]
     return grid
@@ -187,13 +187,16 @@ def split_dataset(n: int, fractions, seed: int):
 def zscore_by_reference(features: np.ndarray, ref_idx: np.ndarray) -> np.ndarray:
     """Per-column z-score using statistics of the reference rows.
 
-    Zero-variance columns map to zero rather than dividing by zero.
+    The package's one standardization of a sample column: features and
+    probe targets alike. A column whose reference rows are all equal
+    (max == min) maps to exactly 0, even where roundoff in its mean leaves
+    a std above 0; so does one whose spread is too small to square (std 0).
     """
     ref = features[ref_idx]
     mean = ref.mean(axis=0)
     std = ref.std(axis=0)
     out = features - mean
-    nonzero = std > 0
+    nonzero = (std > 0) & (ref.max(axis=0) > ref.min(axis=0))
     out[:, nonzero] /= std[nonzero]
     out[:, ~nonzero] = 0.0
     return out
@@ -232,15 +235,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     feats = zscore_by_reference(points.points, idx_pre)
     pre_set = PointSet(feats[idx_pre])
 
-    y = task.values
-    y_mean, y_std = y[idx_down].mean(), y[idx_down].std()
-    y_std = y_std if y_std > 0 else 1.0
-    y_norm = (y - y_mean) / y_std
+    y_norm = zscore_by_reference(task.values[:, None], idx_down)[:, 0]
+    down = feats[idx_down], y_norm[idx_down]
+    test = feats[idx_test], y_norm[idx_test]
 
     per_context, failures = [], []
     for ci, descriptor in enumerate(config.context_grid):
         entry, failure = _evaluate_context(descriptor, ci, config, pre_set,
-                                           feats, idx_down, idx_test, y_norm)
+                                           down, test)
         if failure is None:
             per_context.append(entry)
         else:
@@ -271,11 +273,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _evaluate_context(descriptor, ci, config, pre_set, feats, idx_down,
-                      idx_test, y_norm) -> tuple[dict | None, dict | None]:
+def _evaluate_context(descriptor, ci, config, pre_set, down,
+                      test) -> tuple[dict | None, dict | None]:
     """Score one context: ``(entry, None)``, or ``(None, failure)`` when a
     typed numerical error stops its ``build``, ``spectrum`` or ``probe``
-    stage. Resource errors propagate."""
+    stage. Resource errors propagate. ``down`` and ``test`` are the
+    ``(features, target)`` blocks of the held-out rows."""
     stage = "build"
     try:
         ctx = build_from_descriptor(descriptor, pre_set,
@@ -299,10 +302,9 @@ def _evaluate_context(descriptor, ci, config, pre_set, feats, idx_down,
             if d > avail:
                 continue
             enc_pre = spec.left_functions[:, 1:d + 1]
-            emb_down = extend_encoder(pre_set.points, enc_pre, feats[idx_down])
-            emb_test = extend_encoder(pre_set.points, enc_pre, feats[idx_test])
-            probe = fit_linear_probe((emb_down, y_norm[idx_down]),
-                                     (emb_test, y_norm[idx_test]),
+            emb_down = extend_encoder(pre_set.points, enc_pre, down[0])
+            emb_test = extend_encoder(pre_set.points, enc_pre, test[0])
+            probe = fit_linear_probe((emb_down, down[1]), (emb_test, test[1]),
                                      config.ridge_grid, seed=config.seed)
             err_curve.append([int(d), float(probe.test_mse)])
         if not err_curve:

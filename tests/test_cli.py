@@ -224,6 +224,21 @@ def test_evaluate_infinite_ridge_is_usage_error(tmp_path, waves_csv, capsys):
     assert captured.out == "" and "finite" in captured.err
 
 
+def test_evaluate_constant_target_has_zero_error(tmp_path, capsys):
+    # the 48 training rows of 0.1 do not average to 0.1: the target must
+    # still standardize to exactly 0, and a probe of 0 errs by exactly 0
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((60, 2))
+    data_path, enc_path = tmp_path / "const.csv", tmp_path / "enc.csv"
+    data_path.write_text("a,b,y\n" + "".join(f"{a},{b},0.1\n" for a, b in x))
+    save_encoder(SampleEncoder(x, "input", DiscreteDistribution.uniform(60)),
+                 enc_path)
+    rc = main(["evaluate", "--encoder", str(enc_path), "--input",
+               str(data_path), "--target", "y", "--ridge-grid", "1e-3"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["test_mse"] == 0.0
+
+
 @pytest.mark.parametrize("rows, fraction, message", [
     (59, "0.8", "encoder rows must match the dataset rows"),
     (60, "1.0", "train fraction leaves an empty split"),

@@ -5,7 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from contexture import (ExperimentConfig, NumericalError, contexture_svd,
                         load_config, load_dataset, run_experiment,
@@ -75,6 +76,43 @@ class TestLoadDataset:
         z = zscore_by_reference(points.points, np.arange(12))
         assert np.all(z[:, 0] == 0.0)
         assert abs(z[:, 1].std() - 1.0) < 1e-12
+
+
+class TestZscoreByReference:
+    # on every column whose reference rows differ, the helper gives the bits
+    # of the plain (x - mean) / std of those rows
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+    def test_constant_columns_map_to_exactly_zero(self):
+        # 300 copies of 0.1 (or 0.3) do not average to 0.1 (0.3), so the
+        # std of each constant column is a roundoff residue above 0
+        rng = np.random.default_rng(0)
+        table = np.column_stack([np.full(300, 0.1), np.full(300, 0.3),
+                                 rng.standard_normal(300)])
+        assert np.all(table.std(axis=0)[:2] > 0)
+        z = zscore_by_reference(table, np.arange(300))
+        assert np.all(z[:, :2] == 0.0)
+        assert abs(z[:, 2].std() - 1.0) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(finite, min_size=2, max_size=60), st.data())
+    def test_target_column_is_bitwise_the_inline_form(self, values, data):
+        y = np.array(values)
+        idx = np.array(data.draw(st.lists(st.integers(0, y.size - 1),
+                                          min_size=2, unique=True)))
+        ref = y[idx]
+        assume(ref.max() > ref.min() and ref.std() > 1e-300)
+        z = zscore_by_reference(y[:, None], idx)[:, 0]
+        assert np.array_equal(z, (y - ref.mean()) / ref.std())
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, st.tuples(st.integers(2, 40), st.integers(1, 5)),
+                      elements=finite))
+    def test_whole_table_is_bitwise_the_inline_form(self, x):
+        assume(np.all(x.max(axis=0) > x.min(axis=0))
+               and np.all(x.std(axis=0) > 1e-300))
+        z = zscore_by_reference(x, np.arange(x.shape[0]))
+        assert np.array_equal(z, (x - x.mean(axis=0)) / x.std(axis=0))
 
 
 class TestSplitDataset:
@@ -435,6 +473,25 @@ class TestRunExperiment:
         assert summary["n_correlated"] == 3
         assert summary["pearson"] is None
         assert summary["distance_corr"] is None
+        assert "zero variance" in summary["degenerate"]
+
+    def test_constant_target_probes_to_zero_error(self, tmp_path):
+        # 30 downstream rows of 0.1 do not average to 0.1, so a target
+        # standardized by a std above 0 would read +-1 instead of 0
+        rng = np.random.default_rng(0)
+        path = tmp_path / "const.csv"
+        write_csv(path, ["a", "b", "y"],
+                  [[*row, 0.1] for row in rng.standard_normal((200, 2))])
+        cfg = ExperimentConfig(
+            dataset_path=str(path), target_column="y",
+            context_grid=["rbf:0.5", "rbf:1.0", "knn:3"], ridge_grid=[1e-3],
+            d_grid=[1, 2], d0=8, seed=0)
+        report = run_experiment(cfg)
+        assert len(report["per_context"]) == 3
+        assert all(err == 0.0 for e in report["per_context"]
+                   for _, err in e["err_d"])
+        summary = report["summary"]
+        assert summary["pearson"] is None
         assert "zero variance" in summary["degenerate"]
 
     def test_resource_errors_propagate(self, tmp_path, monkeypatch):
