@@ -198,8 +198,21 @@ def _deflated_operator(ctx: FiniteContext, sp: np.ndarray,
 def _reflect_out(cols: np.ndarray, null: np.ndarray) -> None:
     """Reflect ``cols`` in place within their span (one Householder
     reflection) so that every column but the last is orthogonal to the
-    unit vector ``null``."""
-    h = null @ cols  # c, then c + sign(c_last) |c| e_last
+    unit vector ``null``.
+
+    The reflection moves column i by about c_i / |c|, with c the parts of
+    ``null`` along the columns. The longer side of a non-square W has a
+    null space the thin SVD only samples, so its span may hold little of
+    ``null``; when it holds less than half (|c|^2 < 1/2), the last column,
+    a null vector the caller drops, is first replaced by the rest of
+    ``null`` outside the others, normalised, which brings |c| to 1.
+    """
+    c = null @ cols
+    if c @ c < 0.5:
+        rest = null - cols[:, :-1] @ c[:-1]
+        cols[:, -1] = rest / np.linalg.norm(rest)
+        c = null @ cols
+    h = c  # c, then c + sign(c_last) |c| e_last
     h[-1] += np.copysign(np.linalg.norm(h), h[-1])
     if h @ h > 0.0:
         cols -= np.outer(cols @ h, h * (2.0 / (h @ h)))

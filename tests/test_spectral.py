@@ -835,6 +835,17 @@ class TestDenseRoute:
         assert_thin_matches_full(ctx, contexture_svd(ctx),
                                  full_matrices_spectrum(ctx))
 
+    def test_tall_label_context_keeps_the_full_svd_residual(self):
+        # 272 rows, 5 classes: the thin left basis holds 1.5e-3 of the
+        # constant, and reflecting it into that column alone gave column 3
+        # a duality residual of 1.4e-13
+        labels = np.arange(272) % 5
+        ctx = build_label_context(
+            np.random.default_rng(111832).permutation(labels))
+        spec = contexture_svd(ctx)
+        assert_thin_matches_full(ctx, spec, full_matrices_spectrum(ctx))
+        assert_orthonormal_singular_system(spec, ctx)
+
     def test_clamped_columns_are_orthogonal_to_the_constants(self):
         # six points, each listed twice: six values clamp to zero, and the
         # SVD mixes the deflated constants into their columns
