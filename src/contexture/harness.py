@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import secrets
+from array import array
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -131,34 +132,35 @@ def load_dataset(path, target_column: str):
     integer-coded by sorted distinct value. Standardization is applied
     later, after splitting, using pretrain statistics.
     """
+    features, raw_target = array("d"), []  # each row parsed as it is read
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [(reader.line_num, row) for row in reader if row]
-    if target_column not in header:
-        raise ValueError(f"{path}: missing target column {target_column!r}")
-    if len(rows) < 10:
-        raise ValueError(f"{path}: need at least 10 data rows, got {len(rows)}")
-    t_col = header.index(target_column)
-    feat_cols = [j for j in range(len(header)) if j != t_col]
-
-    features = np.empty((len(rows), len(feat_cols)))
-    raw_target = []
-    for i, (line, row) in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {line} has {len(row)} cells, "
-                             f"expected {len(header)}")
-        for jj, j in enumerate(feat_cols):
-            try:
-                features[i, jj] = float(row[j])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric feature cell at row {line}, "
-                    f"column {header[j]!r}: {row[j]!r}") from None
-        raw_target.append(row[t_col])
+        if target_column not in header:
+            raise ValueError(f"{path}: missing target column {target_column!r}")
+        t_col = header.index(target_column)
+        feat_cols = [j for j in range(len(header)) if j != t_col]
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {reader.line_num} has {len(row)} "
+                                 f"cells, expected {len(header)}")
+            for j in feat_cols:
+                try:
+                    features.append(float(row[j]))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric feature cell at row "
+                        f"{reader.line_num}, column {header[j]!r}: {row[j]!r}"
+                    ) from None
+            raw_target.append(row[t_col])
+    n = len(raw_target)
+    if n < 10:
+        raise ValueError(f"{path}: need at least 10 data rows, got {n}")
 
     try:
         target = np.array([float(v) for v in raw_target])
@@ -166,8 +168,8 @@ def load_dataset(path, target_column: str):
         codes = {v: c for c, v in enumerate(sorted(set(raw_target)))}
         target = np.array([codes[v] for v in raw_target], dtype=float)
 
-    points = PointSet(features)
-    return points, TaskFunction(target, DiscreteDistribution.uniform(len(rows)))
+    points = PointSet(np.frombuffer(features).reshape(n, len(feat_cols)))
+    return points, TaskFunction(target, DiscreteDistribution.uniform(n))
 
 
 def split_dataset(n: int, fractions, seed: int):

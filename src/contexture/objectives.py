@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._linalg import (fix_signs, orthonormal_basis, top_eigenpairs,
-                      weighted_center, weighted_cov, weighted_gram,
-                      weighted_mean)
+                      weighted_center, weighted_cov, weighted_gram)
 from .context import DiscreteDistribution, FiniteContext
 from .errors import ConstraintViolationError, DivergenceError, NumericalError
 from .spectral import adjoint_matrix, contexture_svd
@@ -117,11 +116,8 @@ class SampleEncoder:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def mean(self) -> np.ndarray:
-        return weighted_mean(self.values, self.marginal.weights)
-
     def centered(self) -> np.ndarray:
-        return self.values - self.mean()
+        return weighted_center(self.values, self.marginal.weights)
 
 
 @dataclass(frozen=True)
@@ -343,40 +339,35 @@ def _ls_value_and_grad(form: _LeastSquaresForm, values: np.ndarray):
     return float(np.vdot(resid, weighted)) + form.offset, 2.0 * (weighted @ coef.T)
 
 
-def _center_chain(grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # gradient through v -> v - mean_w(v): subtract w times the column sums
-    return grad - weights[:, None] * grad.sum(axis=0)[None, :]
-
-
 def _lc_value_and_grad(q: np.ndarray, h: np.ndarray, values: np.ndarray):
-    centered = weighted_center(values, q)
-    hg = h @ centered
-    gram = weighted_gram(centered, q)
-    value = float(-np.sum(centered * hg) + 0.5 * np.sum(gram ** 2))
-    grad = -2.0 * hg + 2.0 * q[:, None] * (centered @ gram)
-    return value, _center_chain(grad, q)
+    """-<v, H v> + |E_q v v^T|^2 / 2 at values v the contrastive basis has
+    already centred under q."""
+    hg = h @ values
+    gram = weighted_gram(values, q)
+    value = float(-np.sum(values * hg) + 0.5 * np.sum(gram ** 2))
+    return value, -2.0 * hg + 2.0 * q[:, None] * (values @ gram)
 
 
 def _quadratic_value_and_grad(weights: np.ndarray, m: np.ndarray, scale: float,
                               values: np.ndarray):
-    """scale * (E_w |v|^2 - <v, M v>) over centred values v."""
-    centered = weighted_center(values, weights)
-    mg = m @ centered
-    value = float(scale * (np.sum(weights[:, None] * centered ** 2)
-                           - np.sum(centered * mg)))
-    return value, _center_chain(
-        2.0 * scale * (weights[:, None] * centered - mg), weights)
+    """scale * (E_w |v|^2 - <v, M v>) at values v the constrained basis has
+    already centred under w."""
+    mg = m @ values
+    value = float(scale * (np.sum(weights[:, None] * values ** 2)
+                           - np.sum(values * mg)))
+    return value, 2.0 * scale * (weights[:, None] * values - mg)
 
 
 def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
                      aux: np.ndarray | None):
     """``(value_grad, basis)``: ``value_grad(basis(values))`` is the exact
     population objective's ``(value, gradient)`` from one evaluation, and
-    the matrices it reads are built once, here. ``basis`` is the span's
-    ``orthonormal_basis``, under the fit's row weights for the six
-    least-squares kinds and centred under the encoder's marginal for the
-    two constrained ones, whose losses read only the span; ``np.asarray``
-    for ``multiview_contrastive``, whose loss reads V's Gram matrix."""
+    the matrices it reads are built once, here. Every loss reads values its
+    ``basis`` produced, the one centring: the span's ``orthonormal_basis``
+    under the fit's row weights for the six least-squares kinds, centred
+    under the encoder's marginal for the two constrained ones, whose losses
+    read only the span; ``weighted_center`` under q for
+    ``multiview_contrastive``, whose loss reads V's Gram matrix."""
     form = _FORMS[objective]
     vectors = _resolve_aux(objective, ctx, aux)
     if form.kernel is not None or objective is ObjectiveKind.SUPERVISED_BALANCED:
@@ -391,7 +382,8 @@ def _population_loss(objective: ObjectiveKind, ctx: FiniteContext,
     q = ctx.context_marginal.weights
     h = weighted_gram(ctx.conditional, p)
     if objective is ObjectiveKind.MULTIVIEW_CONTRASTIVE:
-        return partial(_lc_value_and_grad, q, h), np.asarray
+        return (partial(_lc_value_and_grad, q, h),
+                partial(weighted_center, weights=q))
     return (partial(_quadratic_value_and_grad, q, h, 2.0),
             partial(orthonormal_basis, weights=q, center=True))
 
@@ -400,9 +392,10 @@ def eval_objective(objective, ctx: FiniteContext, enc: SampleEncoder,
                    aux: np.ndarray | None = None) -> float:
     """Exact population value of an objective at an encoder.
 
-    Every kind but ``multiview_contrastive`` reads the encoder through its
-    span's orthonormal basis, so a dependent column adds nothing;
-    constrained kinds raise if its covariance is not the identity.
+    The loss reads the encoder through its kind's basis (see
+    ``_population_loss``), so a dependent column adds nothing to any kind
+    but ``multiview_contrastive``, whose basis only centres; constrained
+    kinds raise if its covariance is not the identity.
     """
     objective = ObjectiveKind(objective)
     form = _FORMS[objective]

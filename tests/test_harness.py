@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -67,6 +68,20 @@ class TestLoadDataset:
         write_csv(path, ["a", "y"], [[1, 2]] * 9)
         with pytest.raises(ValueError, match="at least 10"):
             load_dataset(path, "y")
+
+    def test_parse_holds_no_string_table(self, tmp_path):
+        # cells become floats row by row: 2000 rows of 5 features and a
+        # target peak well below the ~1.2 MB a table of every row's
+        # string cells takes
+        path = make_waves(tmp_path / "waves.csv", n=2000)
+        tracemalloc.start()
+        try:
+            points, _ = load_dataset(path, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.points.shape == (2000, 5)
+        assert peak <= 0.8e6
 
     def test_constant_feature_zscores_to_zero(self, tmp_path):
         path = tmp_path / "const.csv"

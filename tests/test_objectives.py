@@ -356,6 +356,59 @@ def test_constrained_losses_read_only_the_span(kind, n, d, seed):
         assert abs(value - base) <= 1e-12 * max(1.0, abs(base))
 
 
+def centring_lc_value_and_grad(q, h, values):
+    """The contrastive loss as it was when it centred its own input, with
+    the centring's chain rule on its gradient."""
+    centered = values - q @ values
+    hg = h @ centered
+    gram = (q[:, None] * centered).T @ centered
+    value = float(-np.sum(centered * hg) + 0.5 * np.sum(gram ** 2))
+    grad = -2.0 * hg + 2.0 * q[:, None] * (centered @ gram)
+    return value, grad - q[:, None] * grad.sum(axis=0)
+
+
+def centring_quadratic_value_and_grad(weights, m, scale, values):
+    """The quadratic loss as it was when it centred its own input."""
+    centered = values - weights @ values
+    mg = m @ centered
+    value = float(scale * (np.sum(weights[:, None] * centered ** 2)
+                           - np.sum(centered * mg)))
+    grad = 2.0 * scale * (weights[:, None] * centered - mg)
+    return value, grad - weights[:, None] * grad.sum(axis=0)
+
+
+CENTRING_LOSSES = {objectives._lc_value_and_grad: centring_lc_value_and_grad,
+                   objectives._quadratic_value_and_grad:
+                       centring_quadratic_value_and_grad}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([k for k in ObjectiveKind
+                             if k not in LEAST_SQUARES_KINDS]),
+       n=st.integers(3, 12), m=st.integers(3, 12), d=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_basis_centring_matches_in_loss_centring(kind, n, m, d, seed):
+    # the basis centres once, so a loss that centres again and chains the
+    # centring into its gradient gives the same value, and a gradient
+    # over w that differs only by a per-column constant, which the basis
+    # removes after the step
+    rng = np.random.default_rng(seed)
+    if kind is ObjectiveKind.NODE_EMBEDDING:
+        m = n
+    ctx = verify.random_dense_context(rng, n, m)
+    weights = _FORMS[kind].marginals(ctx)[0].weights
+    loss, basis = objectives._population_loss(kind, ctx, None)
+    values = (rng.standard_normal((len(weights), d))
+              + rng.uniform(-3.0, 3.0, d))
+    spanned = basis(values)
+    value, grad = loss(spanned)
+    ref_value, ref_grad = CENTRING_LOSSES[loss.func](*loss.args, spanned)
+    assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+    shift = (grad - ref_grad) / weights[:, None]
+    scale = np.max(np.abs(grad / weights[:, None]))
+    assert np.all(np.ptp(shift, axis=0) <= 1e-12 * max(1.0, scale))
+
+
 def test_variational_rank_drop_raises():
     # a biased fit reads the centred span, of rank n - 1 on n inputs
     ctx = verify.random_dense_context(np.random.default_rng(0), 5, 6)
@@ -423,6 +476,13 @@ class TestSolveVariational:
         spectral = solve_spectral("multiview_contrastive", ctx, 2)
         score = cca_alignment(var, spectral, ctx.context_marginal)
         assert score >= 0.999
+
+    def test_contrastive_encoder_is_centred(self):
+        # the spectral solution is centred under q; so is the iterate the
+        # contrastive basis returns
+        ctx = verify.random_dense_context(np.random.default_rng(0), 24, 20)
+        enc = solve_variational("multiview_contrastive", ctx, 2)
+        assert np.max(np.abs(ctx.context_marginal.weights @ enc.values)) <= 1e-12
 
     def test_supervised_class_codes_equal_one_hot(self):
         # the indicator loss only sees which rows share a class, so raw
@@ -553,7 +613,6 @@ class TestSampleEncoderCaches:
     def test_mean_centered_cov(self):
         marg = DiscreteDistribution(np.array([0.25, 0.25, 0.5]))
         enc = SampleEncoder(np.array([[1.0], [2.0], [3.0]]), "input", marg)
-        assert np.allclose(enc.mean(), [2.25])
         assert np.allclose(enc.centered()[:, 0], [-1.25, -0.25, 0.75])
         expected_var = 0.25 * 1.25 ** 2 + 0.25 * 0.25 ** 2 + 0.5 * 0.75 ** 2
         assert np.allclose(weighted_cov(enc.values, marg.weights),
