@@ -114,13 +114,9 @@ def weighted_norm(f: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sqrt(np.sum(weights * f * f)))
 
 
-def weighted_mean(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Mean of each column under the weighting distribution."""
-    return weights @ values
-
-
 def weighted_center(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return values - weighted_mean(values, weights)
+    """Subtract each column's mean under the weighting distribution."""
+    return values - weights @ values
 
 
 def weighted_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

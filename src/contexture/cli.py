@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
-from ._linalg import as_native
 from .context import PointSet, build_from_descriptor
 from .errors import NumericalError
 from .evaluation import (fit_linear_probe, save_tau_curve_csv,
@@ -130,13 +128,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_metric(args) -> int:
     spec = load_spectrum(args.spectrum)
-    frag = usefulness_metric(spec.nontrivial_values, d0=args.d0, beta=args.beta)
-    payload = dict(asdict(frag), beta=args.beta, d0=args.d0)
+    score = usefulness_metric(spec.nontrivial_values, d0=args.d0, beta=args.beta)
+    payload = score.to_json_dict()
     if args.out:
         write_report(payload, args.out)
     if args.curve_csv:
-        save_tau_curve_csv(frag.tau_curve, args.curve_csv)
-    print(json.dumps(as_native(payload), sort_keys=True, indent=2))
+        save_tau_curve_csv(score.tau_curve, args.curve_csv)
+    print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
 

@@ -58,30 +58,27 @@ class ProbeResult:
         return as_native(asdict(self))
 
 
-@dataclass(frozen=True)
-class TauFragment:
-    """Usefulness-metric outputs derived from singular values alone."""
+@dataclass(frozen=True, kw_only=True)
+class SpectrumScore:
+    """The usefulness score of a context from its singular values alone;
+    ``decay_rate`` is None where fewer than 3 squared values exceed 1e-12."""
 
     tau_curve: np.ndarray
     tau: float
     d_star_metric: int
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class UsefulnessReport:
-    tau_curve: np.ndarray
-    tau: float
-    d_star_metric: int
-    decay_rate: float
+    degenerate: bool = False
+    decay_rate: float | None
     beta: float
     d0: int
-    kernel_deviation: float
-    lipschitz: float
-    degenerate: bool = False
 
     def to_json_dict(self) -> dict:
         return as_native(asdict(self))
+
+
+@dataclass(frozen=True, kw_only=True)
+class UsefulnessReport(SpectrumScore):
+    kernel_deviation: float
+    lipschitz: float
 
 
 def save_tau_curve_csv(tau_curve, path) -> None:
@@ -212,8 +209,9 @@ def fit_linear_probe(train, test, ridge_grid, seed: int = 0) -> ProbeResult:
 # the usefulness metric and association measures
 # ---------------------------------------------------------------------------
 
-def usefulness_metric(singular_values, d0: int, beta: float) -> TauFragment:
-    """Task-agnostic usefulness curve over embedding dimensions.
+def usefulness_metric(singular_values, d0: int, beta: float) -> SpectrumScore:
+    """Task-agnostic usefulness curve over embedding dimensions, and the
+    spectrum's decay rate: the whole score of a spectrum.
 
     ``singular_values`` are the nontrivial values in descending order
     (constant mode already excluded by the caller); missing tail values
@@ -227,6 +225,10 @@ def usefulness_metric(singular_values, d0: int, beta: float) -> TauFragment:
     s = np.asarray(singular_values, dtype=float)
     if not np.isfinite(s).all():
         raise ValueError("singular values must be finite")
+    try:
+        rate = decay_rate(s)
+    except ValueError:
+        rate = None
     s = np.clip(s, 0.0, 1.0)
     sq = np.zeros(d0 + 1)
     take = min(s.size, d0 + 1)
@@ -239,8 +241,9 @@ def usefulness_metric(singular_values, d0: int, beta: float) -> TauFragment:
         first = 1.0 / (1.0 - sq[1:d0 + 1])
     curve = first + beta * ratio
     d_star = int(np.argmin(curve)) + 1
-    return TauFragment(tau_curve=curve, tau=float(curve[d_star - 1]),
-                       d_star_metric=d_star, degenerate=degenerate)
+    return SpectrumScore(tau_curve=curve, tau=float(curve[d_star - 1]),
+                         d_star_metric=d_star, degenerate=degenerate,
+                         decay_rate=rate, beta=beta, d0=d0)
 
 
 def decay_rate(singular_values) -> float:
@@ -259,7 +262,8 @@ def decay_rate(singular_values) -> float:
         raise ValueError("singular values must be finite")
     y = s ** 2
     if np.count_nonzero(y > 1e-12) < 3:
-        raise ValueError("need at least 3 nontrivial singular values above 1e-12")
+        raise ValueError("need at least 3 nontrivial singular values whose "
+                         "squares exceed 1e-12")
     idx = np.arange(1, y.size + 1, dtype=float)
     lo, hi = 0.0, 50.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -390,19 +394,13 @@ def _lipschitz_scan(cols: np.ndarray, pts: np.ndarray) -> float:
 def make_usefulness_report(spec: ContextureSpectrum, ctx: FiniteContext,
                            points: PointSet, d0: int, beta: float,
                            lipschitz_sample: int = 1000) -> UsefulnessReport:
-    """Assemble the full usefulness report for one context."""
-    frag = usefulness_metric(spec.nontrivial_values, d0=d0, beta=beta)
-    try:
-        rate = decay_rate(spec.nontrivial_values)
-    except ValueError:
-        rate = float("nan")
+    """The spectrum's score plus its dual kernel's association measures."""
+    score = usefulness_metric(spec.nontrivial_values, d0=d0, beta=beta)
     deviation, lips = kernel_association_measures(
         dual_kernel(ctx), points, ctx.input_marginal,
         min(lipschitz_sample, ctx.n_inputs))
-    return UsefulnessReport(tau_curve=frag.tau_curve, tau=frag.tau,
-                            d_star_metric=frag.d_star_metric, decay_rate=rate,
-                            beta=beta, d0=d0, kernel_deviation=deviation,
-                            lipschitz=lips, degenerate=frag.degenerate)
+    return UsefulnessReport(**vars(score), kernel_deviation=deviation,
+                            lipschitz=lips)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 from ._linalg import as_native, nearest, sq_dists
 from .context import DiscreteDistribution, PointSet, build_from_descriptor
 from .errors import NumericalError
-from .evaluation import (TaskFunction, correlation_stats, decay_rate,
-                         fit_linear_probe, usefulness_metric)
+from .evaluation import (TaskFunction, correlation_stats, fit_linear_probe,
+                         usefulness_metric)
 from .spectral import contexture_svd
 # re-exported: the benchmark tracer wraps them as contexture.harness.<name>
 from .verify import nondegenerate_context, verify_theorems  # noqa: F401
@@ -291,11 +291,7 @@ def _evaluate_context(descriptor, ci, config, pre_set, down,
         stage = "spectrum"
         spec = contexture_svd(ctx)
         s_nontrivial = spec.nontrivial_values
-        frag = usefulness_metric(s_nontrivial, d0=config.d0, beta=config.beta)
-        try:
-            rate = decay_rate(s_nontrivial)
-        except ValueError:
-            rate = None
+        score = usefulness_metric(s_nontrivial, d0=config.d0, beta=config.beta)
 
         stage = "probe"
         avail = s_nontrivial.size
@@ -317,10 +313,10 @@ def _evaluate_context(descriptor, ci, config, pre_set, down,
     err_d_star = min(e for _, e in err_curve)
     return {
         "descriptor": descriptor,
-        "tau": float(frag.tau),
-        "d_star_metric": int(frag.d_star_metric),
-        "degenerate_metric": bool(frag.degenerate),
-        "decay_rate": rate,
+        "tau": score.tau,
+        "d_star_metric": score.d_star_metric,
+        "degenerate_metric": score.degenerate,
+        "decay_rate": score.decay_rate,
         "err_d": err_curve,
         "err_d_star": float(err_d_star),
     }, None

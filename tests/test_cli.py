@@ -9,12 +9,13 @@ import pytest
 
 from contexture.cli import main
 from contexture.context import (DiscreteDistribution, PointSet,
-                                build_knn_context)
+                                build_from_descriptor, build_knn_context)
 from contexture.datasets import make_rings, make_waves
-from contexture.evaluation import usefulness_metric
-from contexture.harness import zscore_by_reference
+from contexture.evaluation import make_usefulness_report, usefulness_metric
+from contexture.harness import (ExperimentConfig, _evaluate_context,
+                                zscore_by_reference)
 from contexture.objectives import SampleEncoder, save_encoder
-from contexture.spectral import contexture_svd, load_spectrum
+from contexture.spectral import contexture_svd, load_spectrum, save_spectrum
 from contexture.verify import verify_theorems
 
 
@@ -131,7 +132,34 @@ def test_metric_reads_a_list_format_spectrum(capsys):
     assert main(["metric", "--spectrum", str(path), "--d0", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     values = np.array(json.loads(path.read_text())["singular_values"])
-    assert payload["tau"] == usefulness_metric(values[1:], d0=2, beta=1.0).tau
+    assert payload == usefulness_metric(values[1:], d0=2,
+                                        beta=1.0).to_json_dict()
+
+
+@pytest.mark.parametrize("descriptor", ["rbf:0.5", "label"])
+def test_sweep_metric_and_report_score_a_spectrum_alike(tmp_path, capsys,
+                                                        descriptor):
+    # an RBF spectrum fits a decay rate; a 3-class label context has 2
+    # nontrivial values, too few to fit, so every output holds None
+    x = np.random.default_rng(8).standard_normal((30, 2))
+    points = PointSet(x, labels=np.arange(30) % 3)
+    config = ExperimentConfig(dataset_path="unread.csv", target_column="y",
+                              context_grid=[descriptor], ridge_grid=[1e-3],
+                              d_grid=[1, 2], d0=4)
+    entry, failure = _evaluate_context(descriptor, 0, config, points,
+                                       (x, x[:, 0]), (x, x[:, 0]))
+    assert failure is None
+    ctx = build_from_descriptor(descriptor, points)  # neither draws a seed
+    spec = contexture_svd(ctx)
+    spec_path = tmp_path / "spec.json"
+    save_spectrum(spec, spec_path)
+    capsys.readouterr()
+    assert main(["metric", "--spectrum", str(spec_path), "--d0", "4"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    report = make_usefulness_report(spec, ctx, points, d0=4, beta=1.0)
+    for key in ("tau", "d_star_metric", "decay_rate"):
+        assert entry[key] == printed[key] == getattr(report, key)
+    assert (entry["decay_rate"] is None) == (descriptor == "label")
 
 
 def test_learn_and_evaluate(tmp_path, waves_csv, capsys):

@@ -449,14 +449,15 @@ class TestAssociationMeasures:
                                             PointSet(np.arange(4.0)[:, None]),
                                             DiscreteDistribution.uniform(4))
 
-    def test_report_decay_rate_is_nan_below_three_values(self):
+    def test_report_decay_rate_is_none_below_three_values(self):
         # a 3-class label context has 2 nontrivial values, too few to fit
         labels = np.arange(9) % 3
         ctx = build_label_context(labels)
         pts = PointSet(np.arange(9.0)[:, None])
         rep = make_usefulness_report(contexture_svd(ctx), ctx, pts, d0=2,
                                      beta=1.0)
-        assert np.isnan(rep.decay_rate)
+        assert rep.decay_rate is None
+        assert rep.to_json_dict()["decay_rate"] is None
         assert np.isfinite(rep.tau)
 
     def test_report_holds_few_square_arrays(self):
