@@ -8,6 +8,7 @@ Subcommands: ``spectrum``, ``metric``, ``learn``, ``evaluate``,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -25,7 +26,7 @@ from .spectral import contexture_svd, load_spectrum, save_spectrum
 from .verify import verify_theorems
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -97,28 +98,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _points_from_csv(path, target_column):
-    """Feature matrix (z-scored on the full file) plus coded target."""
-    if target_column is None:
-        import csv as _csv
-        with open(path, newline="") as fh:
-            header = next(_csv.reader(fh))
-        target_column = header[-1]
-        points, task = load_dataset(path, target_column)
-        feats = np.concatenate([points.points, task.values[:, None]], axis=1)
-        labels = None
-    else:
-        points, task = load_dataset(path, target_column)
-        feats = points.points
-        labels = task.values
+def _context(args):
+    """``--context`` built on the ``--input`` table, z-scored on the full
+    file: the features labelled by ``--target``, or without it every
+    column, unlabelled."""
+    target = args.target
+    if target is None:  # the last column's name; an empty file has none
+        with open(args.input, newline="") as fh:
+            target = (next(csv.reader(fh), None) or [""])[-1]
+    points, _ = load_dataset(args.input, target)
+    feats, labels = points.points, points.labels
+    if args.target is None:
+        feats, labels = np.concatenate([feats, labels[:, None]], axis=1), None
     feats = zscore_by_reference(feats, np.arange(feats.shape[0]))
-    return PointSet(feats, labels=labels), task
+    return build_from_descriptor(args.context, PointSet(feats, labels=labels),
+                                 seed=args.seed)
 
 
 def _cmd_spectrum(args) -> int:
-    points, _ = _points_from_csv(args.input, args.target)
-    ctx = build_from_descriptor(args.context, points, seed=args.seed)
-    spec = contexture_svd(ctx, rank=args.top)
+    spec = contexture_svd(_context(args), rank=args.top)
     save_spectrum(spec, args.out)
     print(f"wrote spectrum ({spec.rank} values, top nontrivial "
           f"{spec.nontrivial_values[0] if spec.rank > 1 else 0.0:.6f}) "
@@ -139,8 +137,7 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    points, _ = _points_from_csv(args.input, args.target)
-    ctx = build_from_descriptor(args.context, points, seed=args.seed)
+    ctx = _context(args)
     if args.mode == "spectral":
         enc = solve_spectral(args.objective, ctx, args.d)
     else:
@@ -218,15 +215,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError, KeyError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    # first: numpy's LinAlgError is a ValueError
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:  # _UsageError is a ValueError
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

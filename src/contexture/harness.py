@@ -34,8 +34,10 @@ REFERENCE_MEDIANS = {"pearson": 0.587, "distance_corr": 0.659}
 
 DEFAULT_SPLIT = (0.7, 0.15, 0.15)  # pretrain, downstream train, test
 
-EXTENSION_RULE = ("held-out rows embed as the average of the 5 nearest "
-                  "pretrain rows' encoder values (exact value on pretrain rows)")
+EXTENSION_K = 5  # pretrain neighbours a held-out row's embedding averages
+EXTENSION_RULE = (f"held-out rows embed as the average of the {EXTENSION_K} "
+                  "nearest pretrain rows' encoder values (exact value on "
+                  "pretrain rows)")
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +83,12 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config from a flat INI file ([experiment] section)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read or "experiment" not in parser:
+    with open(path) as fh:
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:  # one line: its text spans several
+            raise ValueError(f"config {path}: {' '.join(str(exc).split())}") from None
+    if "experiment" not in parser:
         raise ValueError(f"config {path} must contain an [experiment] section")
     sec = parser["experiment"]
     unknown = sorted(set(sec) - {f.name for f in fields(ExperimentConfig)})
@@ -126,8 +132,10 @@ def default_context_grid(n_pretrain: int, per_family: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def load_dataset(path, target_column: str):
-    """Load a headered CSV into raw features and a raw target vector.
+    """Load a headered CSV into raw features labelled by the coded target,
+    and that target as a task.
 
+    The one reader of a table and the one place that labels its rows.
     Feature cells must parse as numbers; a categorical target column is
     integer-coded by sorted distinct value. Standardization is applied
     later, after splitting, using pretrain statistics.
@@ -136,28 +144,30 @@ def load_dataset(path, target_column: str):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if target_column not in header:
-            raise ValueError(f"{path}: missing target column {target_column!r}")
-        t_col = header.index(target_column)
-        feat_cols = [j for j in range(len(header)) if j != t_col]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {reader.line_num} has {len(row)} "
-                                 f"cells, expected {len(header)}")
-            for j in feat_cols:
-                try:
-                    features.append(float(row[j]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric feature cell at row "
-                        f"{reader.line_num}, column {header[j]!r}: {row[j]!r}"
-                    ) from None
-            raw_target.append(row[t_col])
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if target_column not in header:
+                raise ValueError(f"{path}: missing target column {target_column!r}")
+            t_col = header.index(target_column)
+            feat_cols = [j for j in range(len(header)) if j != t_col]
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: row {reader.line_num} has "
+                                     f"{len(row)} cells, expected {len(header)}")
+                for j in feat_cols:
+                    try:
+                        features.append(float(row[j]))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: non-numeric feature cell at row "
+                            f"{reader.line_num}, column {header[j]!r}: {row[j]!r}"
+                        ) from None
+                raw_target.append(row[t_col])
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     n = len(raw_target)
     if n < 10:
         raise ValueError(f"{path}: need at least 10 data rows, got {n}")
@@ -168,7 +178,8 @@ def load_dataset(path, target_column: str):
         codes = {v: c for c, v in enumerate(sorted(set(raw_target)))}
         target = np.array([codes[v] for v in raw_target], dtype=float)
 
-    points = PointSet(np.frombuffer(features).reshape(n, len(feat_cols)))
+    points = PointSet(np.frombuffer(features).reshape(n, len(feat_cols)),
+                      labels=target)
     return points, TaskFunction(target, DiscreteDistribution.uniform(n))
 
 
@@ -205,7 +216,7 @@ def zscore_by_reference(features: np.ndarray, ref_idx: np.ndarray) -> np.ndarray
 
 
 def extend_encoder(train_points: np.ndarray, train_values: np.ndarray,
-                   query_points: np.ndarray, k: int = 5) -> np.ndarray:
+                   query_points: np.ndarray, k: int = EXTENSION_K) -> np.ndarray:
     """Transductive extension: average encoder values of the k nearest
     pretrain rows; a zero-distance match returns that row's value exactly."""
     dists = sq_dists(query_points, train_points)
@@ -235,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     idx_pre, idx_down, idx_test = split_dataset(n, config.split_fractions,
                                                 config.seed)
     feats = zscore_by_reference(points.points, idx_pre)
-    pre_set = PointSet(feats[idx_pre])
+    pre_set = PointSet(feats[idx_pre], labels=points.labels[idx_pre])
 
     y_norm = zscore_by_reference(task.values[:, None], idx_down)[:, 0]
     down = feats[idx_down], y_norm[idx_down]

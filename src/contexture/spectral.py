@@ -79,8 +79,15 @@ class ContextureSpectrum:
     def from_json_dict(cls, data: dict) -> "ContextureSpectrum":
         """Inverse of ``to_json_dict``, which also reads ``left``/``right``
         as nested lists, the form written before they were packed. Raises
-        ValueError unless every entry is finite and ``left``/``right`` hold
-        one column per value."""
+        ValueError unless ``data`` is a dict holding every field, every
+        entry is finite and ``left``/``right`` hold one column per value."""
+        fields = ("singular_values", "left", "right", "p_x", "p_a")
+        if not isinstance(data, dict):
+            raise ValueError(f"a spectrum is a JSON object with fields {fields}, "
+                             f"not a {type(data).__name__}")
+        for key in fields:
+            if key not in data:
+                raise ValueError(f"spectrum field {key!r} is missing")
         values = _read_list(data, "singular_values")
         p_x = DiscreteDistribution.from_saved(_read_list(data, "p_x"))
         p_a = DiscreteDistribution.from_saved(_read_list(data, "p_a"))

@@ -407,6 +407,63 @@ def test_exit_code_usage_error(capsys):
     capsys.readouterr()
 
 
+OVERSIZED = "a,y\n" + "1,2\n" * 10 + "1," + "9" * 131_073 + "\n"
+
+
+@pytest.mark.parametrize("command, text, names", [
+    (["spectrum", "--context", "knn:5", "--input", "{path}", "--out", "{out}"],
+     "", "empty file"),
+    (["metric", "--spectrum", "{path}"], "[1, 2]", "JSON object"),
+    (["metric", "--spectrum", "{path}"],
+     json.dumps({"singular_values": [1.0], "p_x": [1.0], "left": [[1.0]],
+                 "right": [[1.0]]}),
+     "spectrum field 'p_a'"),
+    (["experiment", "--config", "{path}"], "dataset_path = d.csv\n",
+     "no section headers"),
+    (["experiment", "--config", "{path}"], "[experiment]\nseed = 1\nseed = 2\n",
+     "already exists"),
+    (["experiment", "--config", "{path}"], None, "No such file"),
+    (["spectrum", "--context", "knn:5", "--input", "{path}", "--target", "y",
+      "--out", "{out}"], OVERSIZED, "line 12: field larger than field limit"),
+], ids=["empty-csv", "spectrum-list", "spectrum-without-p_a",
+        "ini-without-section", "ini-duplicate-key", "missing-ini",
+        "oversized-field"])
+def test_malformed_input_is_one_usage_error_line(tmp_path, capsys, command,
+                                                 text, names):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    argv = [arg.format(path=path, out=tmp_path / "out.json") for arg in command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("usage error:") and names in line
+    assert str(path) in line or "field" in line
+
+
+def test_a_key_error_inside_a_command_is_not_a_usage_error(monkeypatch):
+    import contexture.cli as cli_mod
+
+    def broken(args):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "verify", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["verify"])
+
+
+def test_linalg_error_is_a_numerical_failure(monkeypatch, capsys):
+    import contexture.cli as cli_mod
+
+    def diverged(args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(cli_mod._COMMANDS, "verify", diverged)
+    assert main(["verify"]) == 2
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_failure(tmp_path, waves_csv, capsys):
     enc_path = tmp_path / "enc.csv"
     rc = main(["learn", "--objective", "multiview_contrastive",

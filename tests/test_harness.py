@@ -12,8 +12,11 @@ from hypothesis.extra import numpy as hnp
 from contexture import (ExperimentConfig, NumericalError, contexture_svd,
                         load_config, load_dataset, run_experiment,
                         split_dataset, verify_theorems, write_report)
-from contexture.datasets import make_planted, make_waves
-from contexture.harness import (default_context_grid, extend_encoder,
+from contexture.datasets import make_planted, make_rings, make_waves
+from contexture import harness
+from contexture.context import build_from_descriptor
+from contexture.harness import (EXTENSION_K, EXTENSION_RULE,
+                                default_context_grid, extend_encoder,
                                 zscore_by_reference)
 from contexture.evaluation import ProbeResult
 from contexture.verify import random_dense_context, random_graph_context
@@ -38,9 +41,10 @@ class TestLoadDataset:
         path = tmp_path / "cat.csv"
         rows = [[i, ["no", "yes"][i % 2]] for i in range(10)]
         write_csv(path, ["a", "cls"], rows)
-        _, task = load_dataset(path, "cls")
+        points, task = load_dataset(path, "cls")
         # sorted distinct values: no -> 0, yes -> 1
         assert np.allclose(task.values, np.arange(10) % 2)
+        assert points.labels is task.values  # the rows carry the coded target
 
     def test_mixed_numeric_formats(self, tmp_path):
         path = tmp_path / "mix.csv"
@@ -171,6 +175,13 @@ class TestExtendEncoder:
         values = np.arange(6.0)[:, None] * 10
         out = extend_encoder(pts, values, np.array([[2.6]]), k=2)
         assert np.allclose(out, [[25.0]])  # neighbors 2 and 3
+
+    def test_default_neighbour_count_is_the_reported_one(self):
+        pts = np.arange(8.0)[:, None]
+        values = np.arange(8.0)[:, None] * 10
+        out = extend_encoder(pts, values, np.array([[-1.0]]))
+        assert np.allclose(out, values[:EXTENSION_K].mean(axis=0))
+        assert f"average of the {EXTENSION_K} nearest" in EXTENSION_RULE
 
 
 class TestConfig:
@@ -537,6 +548,28 @@ class TestRunExperiment:
         write_report(run_experiment(cfg), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_label_context_is_the_target_on_pretrain_rows(self, tmp_path,
+                                                          monkeypatch):
+        path = make_rings(tmp_path / "rings.csv", n=60)
+        built = {}
+
+        def spy(descriptor, points, seed):
+            built[descriptor] = points.labels
+            return build_from_descriptor(descriptor, points, seed=seed)
+
+        monkeypatch.setattr(harness, "build_from_descriptor", spy)
+        cfg = ExperimentConfig(
+            dataset_path=str(path), target_column="band",
+            context_grid=["label", "rbf:0.5"], ridge_grid=[1e-3], d_grid=[1, 2],
+            d0=4, seed=0)
+        report = run_experiment(cfg)
+        assert report["failures"] == []
+        assert [e["descriptor"] for e in report["per_context"]] == [
+            "label", "rbf:0.5"]
+        _, task = load_dataset(path, "band")
+        idx_pre, _, _ = split_dataset(60, cfg.split_fractions, cfg.seed)
+        assert np.array_equal(built["label"], task.values[idx_pre])
+
     def test_extension_rule_recorded(self, tmp_path):
         path = tmp_path / "waves.csv"
         make_waves(path, n=60)
@@ -580,6 +613,16 @@ BLANK_THEN = "\n".join(["a,y", "1,2", ""] + ["1,2"] * 7 + ["{}", "1,2"]) + "\n"
      "row 11 has 1 cells, expected 2"),
     (load_dataset, BLANK_THEN.format("x,2"), (IN_TMP, "y"), ValueError,
      "non-numeric feature cell at row 11, column 'a': 'x'"),
+    # one cell over the csv module's default limit of 131,072 characters
+    pytest.param(load_dataset, BLANK_THEN.format("1," + "9" * 131_073),
+                 (IN_TMP, "y"), ValueError,
+                 "input: line 11: field larger than field limit",
+                 id="load_dataset-oversized-field"),
+    (load_config, "dataset_path = d.csv\n", (IN_TMP,), ValueError,
+     "config .*input: File contains no section headers"),
+    (load_config, "[experiment]\nseed = 1\nseed = 2\n", (IN_TMP,), ValueError,
+     "config .*input: .*option 'seed' in section 'experiment' already exists"),
+    (load_config, None, (IN_TMP,), FileNotFoundError, "input"),
 ])
 def test_typed_input_errors(call, text, args, exc, match, tmp_path):
     path = tmp_path / "input"
